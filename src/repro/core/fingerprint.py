@@ -41,9 +41,10 @@ value.
 from __future__ import annotations
 
 from collections import deque
+from enum import Enum
 from hashlib import blake2b
 from types import ModuleType
-from typing import TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set
 
 from .events import Event
 from .ids import MachineId
@@ -66,13 +67,18 @@ _B_INV = pow(_B, _M - 2, _M)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX_SEED = 0x243F6A8885A308D3
 
 
-def _mix(*parts: int) -> int:
-    """Order-sensitive 64-bit combiner for already-hashed components."""
-    acc = 0x243F6A8885A308D3
+def _mix(*parts: int, acc: int = _MIX_SEED) -> int:
+    """Order-sensitive 64-bit combiner for already-hashed components.
+
+    Sequential, so ``_mix(c, d, acc=_mix(a, b)) == _mix(a, b, c, d)``: a
+    prefix that never changes needs mixing only once.
+    """
     for part in parts:
-        acc ^= (part + _GOLDEN + ((acc << 6) & _MASK64) + (acc >> 2)) & _MASK64
+        # (the outer mask makes masking the shifted term redundant)
+        acc ^= (part + _GOLDEN + (acc << 6) + (acc >> 2)) & _MASK64
         acc = (acc * _GOLDEN) & _MASK64
         acc ^= acc >> 29
     return acc
@@ -81,6 +87,102 @@ def _mix(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 # stable hashing
 # ---------------------------------------------------------------------------
+# One canonical encoding, two walkers per class.  A *feeder* writes the
+# encoding of a value into a blake2b hasher; the feeders are the only
+# definition of what a fingerprint is.  A *freezer* walks the same value by
+# the same rules but only collects a flat key of primitives and classes, such
+# that equal keys imply equal encodings.  ``_sub_digest`` looks the key up in
+# a small bounded memo; a miss runs the feeder and stores its digest.  Stateful
+# search re-creates the same machines and re-sends the same events in every
+# schedule, so nearly every lookup hits.  Both walkers are resolved once per
+# class (``_resolve``), not by an isinstance ladder per call.
+
+#: A key holds at most ``_MAX_TOKENS`` tokens, a str/bytes token at most
+#: ``_MAX_ATOM`` characters and an int token is below ``_MAX_INT`` in magnitude;
+#: anything larger is encoded without the memo.  With ``_MEMO_GENERATION``
+#: entries in each of its two generations, the memo's footprint is a constant
+#: however many distinct states a run visits.
+_MAX_TOKENS = 48
+_MAX_ATOM = 64
+_MAX_INT = 1 << 64
+_MEMO_GENERATION = 256
+#: distinct ``__dict__`` key orders remembered before the table is dropped
+_MAX_LAYOUTS = 512
+
+#: classes whose walkers are remembered before both tables are dropped (a
+#: program that keeps making classes must not grow them without end)
+_MAX_CLASSES = 4096
+
+
+class _Walkers(dict):
+    """``class -> walker``; a class seen for the first time gets both of its
+    walkers resolved (:func:`_resolve`) and remembered."""
+
+    def __missing__(self, cls: type) -> Callable:
+        if len(_FEEDERS) >= _MAX_CLASSES:
+            _FEEDERS.clear()
+            _FREEZERS.clear()
+        _FEEDERS[cls], _FREEZERS[cls] = _resolve(cls)
+        return self[cls]
+
+
+#: ``feeder(hasher, value, path) -> exact``
+_FEEDERS = _Walkers()
+#: ``freezer(value, tokens)``; raises ``_Unfreezable``
+_FREEZERS = _Walkers()
+
+
+class _Unfreezable(Exception):
+    """The value gets no memo key: too large, cyclic, or not exactly encodable."""
+
+
+class _Memo:
+    """Bounded ``key -> finished result`` memo in two generations.
+
+    New entries land in ``young``; when it is full it becomes ``old`` and the
+    previous ``old`` is dropped.  A hit in ``old`` is promoted, so a key that
+    is looked up at least once per generation survives, while a stream of
+    keys that never repeat (the all-distinct states of a long random run)
+    costs one generation of memory and no more.
+    """
+
+    __slots__ = ("generation", "young", "old")
+
+    def __init__(self, generation: int) -> None:
+        self.generation = generation
+        self.young: Dict[tuple, Any] = {}
+        self.old: Dict[tuple, Any] = {}
+
+    def get(self, key: tuple) -> Any:
+        hit = self.young.get(key)
+        if hit is None:
+            hit = self.old.get(key)
+            if hit is not None:
+                self.put(key, hit)
+        return hit
+
+    def put(self, key: tuple, result: Any) -> None:
+        if len(self.young) >= self.generation:
+            self.old = self.young
+            self.young = {}
+        self.young[key] = result
+
+    def clear(self) -> None:
+        self.young = {}
+        self.old = {}
+
+
+#: Process-wide because ``stable_hash`` is a function and the values that
+#: repeat do so across executions and trackers.  A pure cache: dropping any
+#: part of it at any time changes no result.  A key is a frozen value, mapped
+#: to its ``(digest, exact)``, unless it starts with one of the tags below.
+_MEMO = _Memo(_MEMO_GENERATION)
+#: identity and start arguments of a machine -> ``(prefix, start_exact)``
+_CREATED = object()
+#: prefix, status, state stack and attributes of a machine -> ``slow``
+_MACHINE_STATE = object()
+
+
 def stable_hash(value) -> "tuple[int, bool]":
     """Hash ``value`` into ``(64-bit int, exact)`` deterministically.
 
@@ -89,137 +191,470 @@ def stable_hash(value) -> "tuple[int, bool]":
     insertion order).  ``exact`` is False when some part of ``value`` had no
     canonical encoding and was represented by a type-only marker.
     """
+    digest, exact = _sub_digest(value, {})
+    return int.from_bytes(digest, "big"), exact
+
+
+def _sub_digest(value, path) -> "tuple[bytes, bool]":
+    """Digest of one value in isolation, through the memo.
+
+    ``path`` is the encoder's cycle table (see :func:`_feed`).  A value that
+    reaches a container on it is part of a cycle, so freezing it runs out of
+    tokens and it is encoded directly: its back-reference markers depend on
+    where it sits and must not be shared.
+    """
+    tokens: List[Any] = []
+    try:
+        _FREEZERS[value.__class__](value, tokens)
+    except _Unfreezable:
+        key = None
+    else:
+        key = tuple(tokens)
+        hit = _MEMO.get(key)
+        if hit is not None:
+            return hit
     hasher = blake2b(digest_size=8)
-    exact = _feed(hasher, value, {})
-    return int.from_bytes(hasher.digest(), "big"), exact
+    exact = _feed(hasher, value, path)
+    result = (hasher.digest(), exact)
+    if key is not None:
+        _MEMO.put(key, result)
+    return result
 
 
-def _sub_digest(value, memo) -> "tuple[bytes, bool]":
-    """Digest of one value in isolation (for order-canonicalizing sets/dicts)."""
-    hasher = blake2b(digest_size=8)
-    exact = _feed(hasher, value, memo)
-    return hasher.digest(), exact
+def _feed(hasher, value, path) -> bool:
+    """Feed the canonical encoding of ``value`` into ``hasher``; True if exact.
 
-
-def _feed(hasher, value, memo) -> bool:
-    """Feed a canonical encoding of ``value`` into ``hasher``.
-
-    ``memo`` maps ``id()`` of the containers currently on the encoding path
+    ``path`` maps ``id()`` of the containers currently on the encoding path
     to their path position, turning reference cycles into a deterministic
     back-reference marker instead of infinite recursion.
     """
-    # Exact scalar types first (isinstance checks ordered by frequency).
-    if value is None:
-        hasher.update(b"N")
-        return True
-    cls = value.__class__
-    if cls is bool:
-        hasher.update(b"T" if value else b"F")
-        return True
-    if cls is int:
-        data = str(value).encode()
-        hasher.update(b"i%d:" % len(data))
-        hasher.update(data)
-        return True
-    if cls is str:
-        data = value.encode("utf-8", "surrogatepass")
-        hasher.update(b"s%d:" % len(data))
-        hasher.update(data)
-        return True
-    if cls is float:
-        data = repr(value).encode()
-        hasher.update(b"f%d:" % len(data))
-        hasher.update(data)
-        return True
-    if cls is bytes:
-        hasher.update(b"y%d:" % len(value))
-        hasher.update(value)
-        return True
-    if cls is MachineId:
-        hasher.update(b"m")
-        return (
-            _feed(hasher, value.value, memo)
-            & _feed(hasher, value.type_name, memo)
-            & _feed(hasher, value.name, memo)
-        )
+    return _FEEDERS[value.__class__](hasher, value, path)
+
+
+def _refuse(value, tokens) -> None:
+    raise _Unfreezable
+
+
+# -- exact scalars ----------------------------------------------------------
+# Key tokens: None, int, str and bytes stand for themselves; bool and float
+# carry their class, because True == 1 == 1.0 and 0.0 == -0.0 as dict keys
+# while their encodings differ.
+def _feed_none(hasher, value, path) -> bool:
+    hasher.update(b"N")
+    return True
+
+
+def _freeze_none(value, tokens) -> None:
+    tokens.append(None)
+
+
+def _feed_bool(hasher, value, path) -> bool:
+    hasher.update(b"T" if value else b"F")
+    return True
+
+
+def _freeze_bool(value, tokens) -> None:
+    tokens.append(bool)
+    tokens.append(value)
+
+
+def _feed_int(hasher, value, path) -> bool:
+    data = str(value).encode()
+    hasher.update(b"i%d:%b" % (len(data), data))
+    return True
+
+
+def _freeze_int(value, tokens) -> None:
+    if not -_MAX_INT < value < _MAX_INT:
+        raise _Unfreezable
+    tokens.append(value)
+
+
+def _feed_str(hasher, value, path) -> bool:
+    data = value.encode("utf-8", "surrogatepass")
+    hasher.update(b"s%d:%b" % (len(data), data))
+    return True
+
+
+def _feed_float(hasher, value, path) -> bool:
+    data = repr(value).encode()
+    hasher.update(b"f%d:%b" % (len(data), data))
+    return True
+
+
+def _freeze_float(value, tokens) -> None:
+    tokens.append(float)
+    tokens.append(repr(value))
+
+
+def _feed_bytes(hasher, value, path) -> bool:
+    hasher.update(b"y%d:%b" % (len(value), value))
+    return True
+
+
+def _freeze_atom(value, tokens) -> None:
+    if len(value) > _MAX_ATOM:
+        raise _Unfreezable
+    tokens.append(value)
+
+
+def _feed_machine_id(hasher, value, path) -> bool:
+    hasher.update(b"m")
+    return (
+        _feed(hasher, value.value, path)
+        & _feed(hasher, value.type_name, path)
+        & _feed(hasher, value.name, path)
+    )
+
+
+def _freeze_machine_id(value, tokens) -> None:
+    # ``MachineId.__eq__`` compares ``value`` alone, and the same value names
+    # different machines in different schedules: key on all three fields.
+    # Ids are the most frequent value there is, so the fields are checked
+    # here rather than dispatched; the runtime makes no other kind of id.
+    number, type_name, name = value.value, value.type_name, value.name
+    if not (
+        number.__class__ is int
+        and type_name.__class__ is str
+        and name.__class__ is str
+        and -_MAX_INT < number < _MAX_INT
+        and len(type_name) <= _MAX_ATOM
+        and len(name) <= _MAX_ATOM
+    ):
+        raise _Unfreezable
+    tokens += (MachineId, number, type_name, name)
+
+
+# -- containers -------------------------------------------------------------
+def _feed_sequence(hasher, value, path) -> bool:
     ident = id(value)
-    if ident in memo:
+    if ident in path:
         # Back-reference: encode the cycle by path position, which is the
         # same in every process for the same object graph shape.
-        hasher.update(b"c%d:" % memo[ident])
+        hasher.update(b"c%d:" % path[ident])
         return True
-    if isinstance(value, (tuple, list, deque)):
-        memo[ident] = len(memo)
-        hasher.update(b"t%d:" % len(value))
-        exact = True
-        for item in value:
-            exact &= _feed(hasher, item, memo)
-        del memo[ident]
-        return exact
-    if isinstance(value, dict):
-        memo[ident] = len(memo)
-        hasher.update(b"d%d:" % len(value))
-        exact = True
-        entries = []
-        for key, item in value.items():
-            key_digest, key_exact = _sub_digest(key, memo)
-            item_digest, item_exact = _sub_digest(item, memo)
-            exact &= key_exact & item_exact
-            entries.append(key_digest + item_digest)
-        # Canonical order: sort by encoded bytes, not by key comparison,
-        # so mixed-type keys never raise and the order is process-stable.
-        for entry in sorted(entries):
-            hasher.update(entry)
-        del memo[ident]
-        return exact
-    if isinstance(value, (set, frozenset)):
-        memo[ident] = len(memo)
-        hasher.update(b"S%d:" % len(value))
-        exact = True
-        digests = []
-        for item in value:
-            digest, item_exact = _sub_digest(item, memo)
-            exact &= item_exact
-            digests.append(digest)
-        for digest in sorted(digests):
-            hasher.update(digest)
-        del memo[ident]
-        return exact
+    path[ident] = len(path)
+    hasher.update(b"t%d:" % len(value))
+    exact = True
+    for item in value:
+        exact &= _FEEDERS[item.__class__](hasher, item, path)
+    del path[ident]
+    return exact
+
+
+def _feed_mapping(hasher, value, path) -> bool:
+    ident = id(value)
+    if ident in path:
+        hasher.update(b"c%d:" % path[ident])
+        return True
+    path[ident] = len(path)
+    exact = True
+    entries = []
+    for key, item in value.items():
+        key_digest, key_exact = _sub_digest(key, path)
+        item_digest, item_exact = _sub_digest(item, path)
+        exact &= key_exact & item_exact
+        entries.append(key_digest + item_digest)
+    _feed_unordered(hasher, b"d", entries)
+    del path[ident]
+    return exact
+
+
+def _feed_set(hasher, value, path) -> bool:
+    ident = id(value)
+    if ident in path:
+        hasher.update(b"c%d:" % path[ident])
+        return True
+    path[ident] = len(path)
+    exact = True
+    digests = []
+    for item in value:
+        digest, item_exact = _sub_digest(item, path)
+        exact &= item_exact
+        digests.append(digest)
+    _feed_unordered(hasher, b"S", digests)
+    del path[ident]
+    return exact
+
+
+def _feed_unordered(hasher, tag: bytes, digests: List[bytes]) -> None:
+    # Canonical order: sort by encoded bytes, not by element comparison, so
+    # mixed-type members never raise and the order is process-stable.
+    digests.sort()
+    hasher.update(b"%b%d:%b" % (tag, len(digests), b"".join(digests)))
+
+
+# Every container checks the room left before it adds its members, which is
+# also what ends the walk of a cyclic value.
+def _freeze_sequence(value, tokens) -> None:
+    size = len(value)
+    if len(tokens) + size > _MAX_TOKENS:
+        raise _Unfreezable
+    tokens.append(tuple)
+    tokens.append(size)
+    for item in value:
+        _FREEZERS[item.__class__](item, tokens)
+
+
+def _freeze_mapping(value, tokens) -> None:
+    size = len(value)
+    if len(tokens) + 2 * size > _MAX_TOKENS:
+        raise _Unfreezable
+    tokens.append(dict)
+    tokens.append(size)
+    for key, item in value.items():
+        _FREEZERS[key.__class__](key, tokens)
+        _FREEZERS[item.__class__](item, tokens)
+
+
+def _freeze_set(value, tokens) -> None:
+    size = len(value)
+    if len(tokens) + size > _MAX_TOKENS:
+        raise _Unfreezable
+    tokens.append(frozenset)
+    tokens.append(size)
+    for item in value:
+        _FREEZERS[item.__class__](item, tokens)
+
+
+# -- references -------------------------------------------------------------
+def _class_path(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _feed_machine(hasher, value, path) -> bool:
+    # A machine *reference* is its identity: the referenced machine's own
+    # component already covers its state, and encoding it structurally
+    # would chase the back-references it holds (runtime, strategy, ...).
+    hasher.update(b"R")
+    return _feed(hasher, value._id, path)
+
+
+class _MachineRef:
+    """Key tag of a machine reference (``Machine`` itself imports this module)."""
+
+
+def _freeze_machine(value, tokens) -> None:
+    tokens.append(_MachineRef)
+    _FREEZERS[value._id.__class__](value._id, tokens)
+
+
+def _feed_class(hasher, value, path) -> bool:
+    # A class reference is fully identified by its import path.
+    hasher.update(_encoded_str(b"k", _class_path(value)))
+    return True
+
+
+def _freeze_class(value, tokens) -> None:
+    tokens.append(type)
+    tokens.append(value)
+
+
+# -- structured objects -----------------------------------------------------
+class _Layout:
+    """The public names of one ``__dict__`` key order, sorted, with each
+    name's encoding (object rule) and digest (dict rule) worked out once.
+
+    Underscore-prefixed attributes are runtime-internal bookkeeping by repo
+    convention and excluded.
+    """
+
+    __slots__ = ("names", "encoded", "digests")
+
+    def __init__(self, order: tuple) -> None:
+        self.names = tuple(sorted(name for name in order if not name.startswith("_")))
+        self.encoded = tuple(_encoded_str(b"", name) for name in self.names)
+        self.digests = tuple(blake2b(data, digest_size=8).digest() for data in self.encoded)
+
+
+_LAYOUTS: Dict[tuple, _Layout] = {}
+
+
+def _layout_of(attrs: dict) -> _Layout:
+    order = tuple(attrs)
+    layout = _LAYOUTS.get(order)
+    if layout is None:
+        if len(_LAYOUTS) >= _MAX_LAYOUTS:
+            _LAYOUTS.clear()
+        layout = _LAYOUTS[order] = _Layout(order)
+    return layout
+
+
+def _feed_public(hasher, head: bytes, value, path) -> bool:
+    """``head``, then the count, names and values of the public attributes."""
+    ident = id(value)
+    if ident in path:
+        hasher.update(b"c%d:" % path[ident])
+        return True
+    path[ident] = len(path)
+    attrs = value.__dict__
+    layout = _layout_of(attrs)
+    hasher.update(b"%b%d:" % (head, len(layout.names)))
+    exact = True
+    for name, encoded in zip(layout.names, layout.encoded):
+        hasher.update(encoded)
+        item = attrs[name]
+        exact &= _FEEDERS[item.__class__](hasher, item, path)
+    del path[ident]
+    return exact
+
+
+def _freeze_public(attrs: dict, tokens) -> None:
+    layout = _layout_of(attrs)
+    names = layout.names
+    if len(tokens) + len(names) > _MAX_TOKENS:
+        raise _Unfreezable
+    # The layout stands for the names: one per key order, compared by identity.
+    tokens.append(layout)
+    for name in names:
+        item = attrs[name]
+        _FREEZERS[item.__class__](item, tokens)
+
+
+def _hash_public_attrs(attrs: dict) -> "tuple[int, bool]":
+    """``stable_hash`` of the dict of ``attrs``' public entries, without
+    building that dict: the names come digested from the layout, the values
+    go through the memo one by one."""
+    layout = _layout_of(attrs)
+    # One ancestor on the path, as when the dict itself is being encoded:
+    # cycle markers inside the values count their position from it.
+    path = {0: 0}
+    exact = True
+    entries = []
+    for name, name_digest in zip(layout.names, layout.digests):
+        digest, item_exact = _sub_digest(attrs[name], path)
+        exact &= item_exact
+        entries.append(name_digest + digest)
+    hasher = blake2b(digest_size=8)
+    _feed_unordered(hasher, b"d", entries)
+    return int.from_bytes(hasher.digest(), "big"), exact
+
+
+# -- per-class resolution ---------------------------------------------------
+#: (class, its subclasses' instances -> the plain value, feeder, freezer); the
+#: conversions are the base classes' own, which no subclass override reaches
+_SCALAR_BASES = (
+    (int, int.__index__, _feed_int, _freeze_int),
+    (str, str.__str__, _feed_str, _freeze_atom),
+    (float, float.__float__, _feed_float, _freeze_float),
+    (bytes, lambda value: bytes.__getitem__(value, slice(None)), _feed_bytes, _freeze_atom),
+)
+
+
+def _resolve(cls: type) -> "tuple[Callable, Callable]":
+    """The (feeder, freezer) pair of ``cls``.
+
+    The rule order is the encoding's definition: the first rule that matches
+    the class wins.
+    """
+    if cls is type(None):
+        return _feed_none, _freeze_none
+    if cls is bool:
+        return _feed_bool, _freeze_bool
+    for base, _, feed_base, freeze_base in _SCALAR_BASES:
+        if cls is base:
+            return feed_base, freeze_base
+    if cls is MachineId:
+        return _feed_machine_id, _freeze_machine_id
+    if issubclass(cls, Enum):
+        return _enum_pair(cls)
+    for base, plain, feed_base, freeze_base in _SCALAR_BASES:
+        if issubclass(cls, base):
+            return _scalar_subclass_pair(cls, plain, feed_base, freeze_base)
+    if issubclass(cls, (tuple, list, deque)):
+        return _feed_sequence, _freeze_sequence
+    if issubclass(cls, dict):
+        return _feed_mapping, _freeze_mapping
+    if issubclass(cls, (set, frozenset)):
+        return _feed_set, _freeze_set
     # Avoid a module-level import cycle: machine -> runtime -> fingerprint.
     from .machine import Machine
 
-    if isinstance(value, Machine):
-        # A machine *reference* is its identity: the referenced machine's own
-        # component already covers its state, and encoding it structurally
-        # would chase the back-references it holds (runtime, strategy, ...).
-        hasher.update(b"R")
-        return _feed(hasher, value._id, memo)
-    if isinstance(value, type):
-        # A class reference is fully identified by its import path.
-        hasher.update(b"k")
-        return _feed(hasher, f"{value.__module__}.{value.__qualname__}", memo)
-    attrs = getattr(value, "__dict__", None)
-    if attrs is not None and not callable(value) and not isinstance(value, ModuleType):
+    if issubclass(cls, Machine):
+        return _feed_machine, _freeze_machine
+    if issubclass(cls, type):
+        return _feed_class, _freeze_class
+    if _has_dict(cls) and not _is_callable(cls) and not issubclass(cls, ModuleType):
         # Structured object (event payloads, harness helper objects,
         # dataclasses): class identity plus its public attributes.
-        # Underscore-prefixed attributes are runtime-internal bookkeeping by
-        # repo convention and excluded.
-        memo[ident] = len(memo)
-        hasher.update(b"o")
-        _feed(hasher, f"{cls.__module__}.{cls.__qualname__}", memo)
-        exact = True
-        public = [name for name in attrs if not name.startswith("_")]
-        hasher.update(b"%d:" % len(public))
-        for name in sorted(public):
-            _feed(hasher, name, memo)
-            exact &= _feed(hasher, attrs[name], memo)
-        del memo[ident]
-        return exact
+        return _object_pair(cls)
     # No canonical encoding (functions, modules, file handles, slotted
     # objects, ...): a deterministic type-only marker, flagged inexact.
-    hasher.update(b"?")
-    _feed(hasher, f"{cls.__module__}.{cls.__qualname__}", memo)
-    return False
+    head = _encoded_str(b"?", _class_path(cls))
+
+    def feed_opaque(hasher, value, path) -> bool:
+        hasher.update(head)
+        return False
+
+    return feed_opaque, _refuse
+
+
+def _has_dict(cls: type) -> bool:
+    return cls.__dictoffset__ != 0
+
+
+def _is_callable(cls: type) -> bool:
+    # ``callable(instance)``, asked of the class.
+    return any("__call__" in vars(base) for base in cls.__mro__)
+
+
+def _encoded_str(tag: bytes, text: str) -> bytes:
+    data = text.encode("utf-8", "surrogatepass")
+    return b"%bs%d:%b" % (tag, len(data), data)
+
+
+def _object_pair(cls: type):
+    head = _encoded_str(b"o", _class_path(cls))
+
+    def feed_object(hasher, value, path) -> bool:
+        return _feed_public(hasher, head, value, path)
+
+    def freeze_object(value, tokens) -> None:
+        tokens.append(cls)
+        _freeze_public(value.__dict__, tokens)
+
+    return feed_object, freeze_object
+
+
+def _enum_pair(cls: type):
+    # A member is its class and name; ``__dict__`` holds nothing public, so
+    # the object rule would give every member of the class one hash.
+    head = _encoded_str(b"e", _class_path(cls))
+
+    def member_name(value):
+        # Unnamed flag combinations are told apart by their value instead.
+        return value._name_ if value._name_ is not None else value._value_
+
+    def feed_enum(hasher, value, path) -> bool:
+        hasher.update(head)
+        return _feed(hasher, member_name(value), path)
+
+    def freeze_enum(value, tokens) -> None:
+        tokens.append(cls)
+        name = member_name(value)
+        _FREEZERS[name.__class__](name, tokens)
+
+    return feed_enum, freeze_enum
+
+
+def _scalar_subclass_pair(cls: type, plain, feed_base, freeze_base):
+    # An int/str/float/bytes subclass is its class, its plain value and, when
+    # instances carry a ``__dict__``, their public attributes.
+    head = _encoded_str(b"b", _class_path(cls))
+    has_attrs = _has_dict(cls)
+
+    def feed_scalar(hasher, value, path) -> bool:
+        hasher.update(head)
+        feed_base(hasher, plain(value), path)
+        return _feed_public(hasher, b"", value, path) if has_attrs else True
+
+    def freeze_scalar(value, tokens) -> None:
+        tokens.append(cls)
+        freeze_base(plain(value), tokens)
+        if has_attrs:
+            _freeze_public(value.__dict__, tokens)
+
+    return feed_scalar, freeze_scalar
 
 
 class Fingerprint(NamedTuple):
@@ -291,32 +726,30 @@ class _MachineRecord:
     """Cached fingerprint component of one machine."""
 
     __slots__ = (
-        "base", "start_hash", "start_exact", "stack_hash", "attrs_hash",
-        "attrs_exact", "status", "paused", "inbox", "raised", "component",
-        "exact",
+        "prefix", "start_exact", "slow", "attrs_exact", "paused", "inbox",
+        "raised", "component", "exact", "dirty",
     )
 
-    def __init__(self, base: int, start_hash: int, start_exact: bool) -> None:
-        self.base = base
-        self.start_hash = start_hash
+    def __init__(self, prefix: int, start_exact: bool) -> None:
+        #: ``_mix(identity hash, start-arguments hash)``: never changes ...
+        self.prefix = prefix
         self.start_exact = start_exact
-        self.stack_hash = 0
-        self.attrs_hash = 0
+        #: ... and stack, attributes and status only when the machine runs
+        self.slow = 0
         self.attrs_exact = True
-        self.status = 0
         self.paused = False
         self.inbox = _QueueHash()
         self.raised = _QueueHash()
         self.component = 0
         self.exact = True
+        #: some part changed since ``component`` was last folded
+        self.dirty = False
 
     def fold(self) -> int:
         inbox = self.inbox
         raised = self.raised
         return _mix(
-            self.base, self.start_hash, self.stack_hash, self.attrs_hash,
-            self.status, inbox.value, len(inbox.items), raised.value,
-            len(raised.items),
+            inbox.value, len(inbox.items), raised.value, len(raised.items), acc=self.slow
         )
 
     def is_exact(self) -> bool:
@@ -336,24 +769,23 @@ class FingerprintTracker:
     site (mirroring the enabled-set bookkeeping) and :meth:`touch` once per
     dispatched step for the executed machine — the only machine whose state
     stack, attributes or paused/halted status can have changed during the
-    step.  Monitors are notified synchronously from inside steps, so they
-    are dirty-marked at notification and refreshed lazily at the next
-    :meth:`current` query.
+    step.  The hooks update the parts of a machine's component and mark it
+    dirty; :meth:`current` folds each dirty machine once, however many hooks
+    fired on it since the last observation.  Monitors are notified
+    synchronously from inside steps, so they are dirty-marked at
+    notification and refreshed at the next :meth:`current` query as well.
     """
 
     def __init__(self, runtime: "RuntimeKernel") -> None:
         self._runtime = runtime
         self._records: Dict[int, _MachineRecord] = {}
+        self._dirty_records: List[_MachineRecord] = []
         self._monitor_components: Dict[type, int] = {}
         self._monitor_exact: Dict[type, bool] = {}
         self._dirty_monitors: Set[type] = set()
         self._global = 0
         #: count of machines/monitors whose component is currently inexact
         self._inexact = 0
-        #: stack-tuple -> hash cache (state stacks repeat across machines
-        #: and steps; the tuples are tiny and the set of distinct stacks is
-        #: bounded by the specs)
-        self._stack_cache: Dict[tuple, int] = {}
         #: set by :meth:`current` when the latest observation had not been
         #: seen before in this tracker's lifetime (one execution)
         self.last_novel = False
@@ -365,11 +797,25 @@ class FingerprintTracker:
     def register_machine(self, machine: "Machine") -> None:
         """Start tracking ``machine`` (before its StartEvent is enqueued)."""
         mid = machine._id
-        base = stable_hash((mid.value, mid.type_name, mid.name))[0]
-        args, kwargs = getattr(machine, "_start_args", ((), {}))
-        start_hash, start_exact = stable_hash((args, kwargs))
-        record = _MachineRecord(base, start_hash, start_exact)
-        self._records[mid.value] = record
+        start = getattr(machine, "_start_args", ((), {}))
+        # Every schedule re-creates the same machines with the same
+        # arguments: identity and arguments together are one memo key.
+        tokens: List[Any] = [_CREATED]
+        try:
+            _freeze_machine_id(mid, tokens)
+            _FREEZERS[start.__class__](start, tokens)
+        except _Unfreezable:
+            key = created = None
+        else:
+            key = tuple(tokens)
+            created = _MEMO.get(key)
+        if created is None:
+            base = stable_hash((mid.value, mid.type_name, mid.name))[0]
+            start_hash, start_exact = stable_hash(start)
+            created = (_mix(base, start_hash), start_exact)
+            if key is not None:
+                _MEMO.put(key, created)
+        record = self._records[mid.value] = _MachineRecord(*created)
         self._refresh(machine, record)
 
     def touch(self, machine: "Machine") -> None:
@@ -386,24 +832,43 @@ class FingerprintTracker:
             self._refresh(machine, record)
 
     def _refresh(self, machine: "Machine", record: _MachineRecord) -> None:
-        stack = tuple(machine._state_stack)
-        stack_hash = self._stack_cache.get(stack)
-        if stack_hash is None:
-            stack_hash = self._stack_cache[stack] = stable_hash(stack)[0]
-        record.stack_hash = stack_hash
-        attrs = machine.__dict__
-        public = {name: attrs[name] for name in attrs if not name.startswith("_")}
-        record.attrs_hash, record.attrs_exact = stable_hash(public)
         record.paused = (
             machine._coroutine is not None or machine._pending_receive is not None
         )
-        record.status = (1 if machine._halted else 0) | (2 if record.paused else 0)
-        self._fold(record)
+        status = (1 if machine._halted else 0) | (2 if record.paused else 0)
+        # The same machine in the same local state, as every schedule that
+        # passes through it finds it: one memo key for the whole mix.
+        tokens: List[Any] = [_MACHINE_STATE, record.prefix, status]
+        try:
+            _freeze_sequence(machine._state_stack, tokens)
+            _freeze_public(machine.__dict__, tokens)
+        except _Unfreezable:
+            key = None
+        else:
+            key = tuple(tokens)
+        slow = None if key is None else _MEMO.get(key)
+        if slow is None:
+            stack_hash = stable_hash(machine._state_stack)[0]
+            attrs_hash, record.attrs_exact = _hash_public_attrs(machine.__dict__)
+            slow = _mix(stack_hash, attrs_hash, status, acc=record.prefix)
+            if key is not None:
+                _MEMO.put(key, slow)
+        else:
+            # only what froze, and so encoded exactly, is ever stored
+            record.attrs_exact = True
+        record.slow = slow
+        self._mark_dirty(record)
+
+    def _mark_dirty(self, record: _MachineRecord) -> None:
+        if not record.dirty:
+            record.dirty = True
+            self._dirty_records.append(record)
 
     def _fold(self, record: _MachineRecord) -> None:
         component = record.fold()
         self._global ^= record.component ^ component
         record.component = component
+        record.dirty = False
         exact = record.is_exact()
         if exact != record.exact:
             self._inexact += -1 if exact else 1
@@ -411,36 +876,40 @@ class FingerprintTracker:
 
     # ------------------------------------------------------------------
     # queue hooks (O(1) on the append/popleft hot paths)
+    #
+    # An event is hashed when it is queued and not again, so its payload must
+    # not be mutated after it is sent (which a message-passing program cannot
+    # do across machines anyway).
     # ------------------------------------------------------------------
     def on_enqueue(self, machine: "Machine", event: Event) -> None:
         record = self._records.get(machine._id.value)
         if record is not None:
             record.inbox.append(*stable_hash(event))
-            self._fold(record)
+            self._mark_dirty(record)
 
     def on_inbox_popleft(self, machine: "Machine") -> None:
         record = self._records.get(machine._id.value)
         if record is not None:
             record.inbox.popleft()
-            self._fold(record)
+            self._mark_dirty(record)
 
     def on_inbox_remove(self, machine: "Machine", index: int) -> None:
         record = self._records.get(machine._id.value)
         if record is not None:
             record.inbox.remove_at(index)
-            self._fold(record)
+            self._mark_dirty(record)
 
     def on_raise(self, machine: "Machine", event: Event) -> None:
         record = self._records.get(machine._id.value)
         if record is not None:
             record.raised.append(*stable_hash(event))
-            self._fold(record)
+            self._mark_dirty(record)
 
     def on_raised_popleft(self, machine: "Machine") -> None:
         record = self._records.get(machine._id.value)
         if record is not None:
             record.raised.popleft()
-            self._fold(record)
+            self._mark_dirty(record)
 
     def on_halt_clear(self, machine: "Machine") -> None:
         """Both queues were cleared by a halt (touch refreshes the rest)."""
@@ -448,7 +917,7 @@ class FingerprintTracker:
         if record is not None:
             record.inbox.clear()
             record.raised.clear()
-            self._fold(record)
+            self._mark_dirty(record)
 
     # ------------------------------------------------------------------
     # monitors (synchronously notified => dirty-marked, lazily refreshed)
@@ -465,12 +934,13 @@ class FingerprintTracker:
         monitor = self._runtime._monitors.get(monitor_cls)
         if monitor is None:  # pragma: no cover - defensive
             return
-        attrs = monitor.__dict__
-        public = {name: attrs[name] for name in attrs if not name.startswith("_")}
-        component_input = (monitor_cls.__name__, monitor._current_state)
-        state_hash, _ = stable_hash(component_input)
-        attrs_hash, exact = stable_hash(public)
+        state = monitor._current_state
+        # The bare class name, not the import path: every recorded digest of
+        # a system with monitors depends on this encoding.
+        state_hash, state_exact = stable_hash((monitor_cls.__name__, state))
+        attrs_hash, attrs_exact = _hash_public_attrs(monitor.__dict__)
         component = _mix(state_hash, attrs_hash)
+        exact = state_exact and attrs_exact
         self._global ^= self._monitor_components[monitor_cls] ^ component
         self._monitor_components[monitor_cls] = component
         if exact != self._monitor_exact[monitor_cls]:
@@ -482,6 +952,10 @@ class FingerprintTracker:
     # ------------------------------------------------------------------
     def current(self) -> Fingerprint:
         """The fingerprint of the current global state."""
+        if self._dirty_records:
+            for record in self._dirty_records:
+                self._fold(record)
+            self._dirty_records.clear()
         if self._dirty_monitors:
             for monitor_cls in self._dirty_monitors:
                 self._refresh_monitor(monitor_cls)
@@ -508,7 +982,6 @@ class FingerprintTracker:
                 record.inbox.append(*stable_hash(event))
             for event in machine._raised:
                 record.raised.append(*stable_hash(event))
-            fresh._fold(record)
         for monitor_cls in self._runtime._monitors:
             fresh.register_monitor(fresh._runtime._monitors[monitor_cls])
         value = fresh.current()

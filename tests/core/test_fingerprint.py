@@ -7,10 +7,14 @@ every machine and monitor — checked here at *every scheduling point* of real
 harness executions via a delegating strategy.
 """
 
+import enum
 import subprocess
 import sys
+from contextlib import contextmanager
+from hashlib import blake2b
 
-from repro.core import TestingConfig, TestingEngine, run_test
+from repro.core import Event, Machine, Receive, TestingConfig, TestingEngine, on_event, run_test
+from repro.core import fingerprint
 from repro.core.fingerprint import FingerprintTracker, stable_hash
 from repro.core.ids import MachineId
 from repro.core.strategy import RandomStrategy
@@ -95,6 +99,230 @@ def test_stable_hash_matches_across_interpreters():
 
 
 # ---------------------------------------------------------------------------
+# enum members and scalar subclasses (all hashed alike, "exactly", before)
+# ---------------------------------------------------------------------------
+class Color(enum.Enum):
+    RED = 1
+    BLUE = 2
+
+
+class Shade(enum.Enum):
+    RED = 1
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tagged(str):
+    """A str subclass whose instances carry a ``__dict__``."""
+
+
+class Meters(int):
+    __slots__ = ()
+
+
+def _distinct_and_exact(values):
+    hashes = [stable_hash(value) for value in values]
+    assert all(exact for _, exact in hashes)
+    assert len({value for value, _ in hashes}) == len(values), hashes
+
+
+def test_stable_hash_tells_enum_members_apart():
+    _distinct_and_exact([Color.RED, Color.BLUE, Shade.RED, Level.LOW, Level.HIGH, 1, "RED"])
+    assert stable_hash(Color.RED) == stable_hash(Color["RED"])
+    # the enum the repo's own scenarios keep in machine state
+    from repro.migratingtable.migration import PartitionState
+
+    _distinct_and_exact(list(PartitionState) + [PartitionState.USE_OLD.value])
+
+
+def test_stable_hash_tells_scalar_subclass_values_apart():
+    labelled = Tagged("a")
+    labelled.unit = "m"
+    other_label = Tagged("a")
+    other_label.unit = "s"
+    _distinct_and_exact(
+        [Tagged("a"), Tagged("b"), labelled, other_label, "a", Meters(3), Meters(4), 3]
+    )
+    twin = Tagged("a")
+    twin.unit = "m"
+    assert stable_hash(labelled) == stable_hash(twin)
+
+    class Celsius(float):
+        pass
+
+    class Blob(bytes):
+        pass
+
+    _distinct_and_exact([Celsius(1.5), Celsius(2.5), 1.5, Blob(b"x"), Blob(b"y"), b"x"])
+
+
+# ---------------------------------------------------------------------------
+# the memo: hits must be indistinguishable from encoding again
+# ---------------------------------------------------------------------------
+class _NoMemo:
+    """Stands in for the memo: remembers nothing."""
+
+    def get(self, key):
+        return None
+
+    def put(self, key, result):
+        pass
+
+
+@contextmanager
+def memo_disabled():
+    saved = fingerprint._MEMO
+    fingerprint._MEMO = _NoMemo()
+    try:
+        yield
+    finally:
+        fingerprint._MEMO = saved
+
+
+def encode_uncached(value):
+    """``stable_hash`` as the encoder alone computes it, memo out of the way."""
+    with memo_disabled():
+        hasher = blake2b(digest_size=8)
+        exact = fingerprint._feed(hasher, value, {})
+        return int.from_bytes(hasher.digest(), "big"), exact
+
+
+def memo_entries():
+    return len(fingerprint._MEMO.young) + len(fingerprint._MEMO.old)
+
+
+def test_memo_keeps_equal_comparing_values_apart():
+    # True == 1 == 1.0 and 0.0 == -0.0 as dict keys; a MachineId compares by
+    # value alone.  Each group is hashed back to back so that a key which
+    # conflated two of them would serve the first one's digest for the second.
+    groups = [
+        [1, True, 1.0],
+        [0, False, 0.0, -0.0],
+        [(1, 2), (True, 2), (1.0, 2), [1, 2]],
+        [{1: "x"}, {True: "x"}, {1.0: "x"}],
+        [MachineId(1, "A"), MachineId(1, "B"), MachineId(1, "A", "n"), MachineId(1, "A", "m")],
+        [{"owner": MachineId(1, "A")}, {"owner": MachineId(1, "B")}],
+        ["1", b"1", 1],
+        [Color.RED, Shade.RED, "RED"],
+    ]
+    for group in groups:
+        fingerprint._MEMO.clear()
+        for _ in range(2):  # cold, then warm
+            for value in group:
+                assert stable_hash(value) == encode_uncached(value), value
+    # list and tuple share an encoding (and may share a key); the rest differ
+    assert stable_hash((1, 2)) == stable_hash([1, 2])
+    assert len({stable_hash(value)[0] for value in groups[0]}) == 3
+    assert len({stable_hash(value)[0] for value in groups[4]}) == 4
+
+
+def test_memo_is_bypassed_by_cycles_and_ancestor_references():
+    cyclic = [1]
+    cyclic.append(cyclic)
+    self_dict = {"k": 1}
+    self_dict["self"] = self_dict
+    # ``inner`` reaches its ancestor ``outer``: inside ``outer`` it encodes as
+    # a back-reference whose number depends on the depth it sits at.
+    inner = []
+    outer = {"a": {"b": inner}}
+    inner.append(outer)
+    nested = {"x": {"y": cyclic}, "z": cyclic}
+    for value in (cyclic, self_dict, outer, inner, nested):
+        fingerprint._MEMO.clear()
+        for _ in range(2):
+            assert stable_hash(value) == encode_uncached(value)
+
+
+def test_memo_never_stores_inexact_or_oversized_values():
+    fingerprint._MEMO.clear()
+    assert not stable_hash(object())[1]
+    assert not stable_hash(lambda: None)[1]
+    assert memo_entries() == 0
+    # a container with an unencodable member: its exact members may be kept,
+    # the container and the member are not
+    assert not stable_hash({"handle": object(), "n": 1})[1]
+    assert not stable_hash({"handle": object(), "n": 1})[1]
+    fingerprint._MEMO.clear()
+    wide = tuple(range(10 * fingerprint._MAX_TOKENS))
+    long_text = "x" * (10 * fingerprint._MAX_ATOM)
+    huge = 1 << 4096
+    for value in (wide, long_text, long_text.encode(), huge, [long_text], {"k": huge}):
+        assert stable_hash(value) == encode_uncached(value)
+        assert stable_hash(value) == encode_uncached(value)
+    assert memo_entries() <= 1  # the short dict key "k"
+
+
+def test_memo_is_bounded_and_survives_eviction():
+    fingerprint._MEMO.clear()
+    probe = {"id": MachineId(3, "M", "m"), "tags": frozenset({"a", "b"}), "n": (1, 2.5)}
+    expected = encode_uncached(probe)
+    assert stable_hash(probe) == expected
+    for number in range(20 * fingerprint._MEMO_GENERATION):
+        stable_hash(("filler", number))
+        assert memo_entries() <= 2 * fingerprint._MEMO_GENERATION
+    assert stable_hash(probe) == expected  # evicted, encoded again
+    assert stable_hash(probe) == expected  # and served from the memo again
+
+
+def test_memo_sees_mutation_after_hashing():
+    box = {"items": [1, 2], "owner": MachineId(1, "A")}
+    before = stable_hash(box)
+    box["items"].append(3)
+    after = stable_hash(box)
+    assert after != before
+    assert after == encode_uncached(box)
+    box["items"].pop()
+    assert stable_hash(box) == before
+
+
+def test_public_attrs_hash_equals_hash_of_the_public_dict():
+    cyclic = [1]
+    cyclic.append(cyclic)
+    attrs = {
+        "_runtime": object(),
+        "zeta": cyclic,
+        "alpha": {"nested": cyclic},
+        "_hidden": 1,
+        "count": 7,
+        "peer": MachineId(2, "M"),
+    }
+    public = {name: value for name, value in attrs.items() if not name.startswith("_")}
+    assert fingerprint._hash_public_attrs(attrs) == stable_hash(public)
+    assert fingerprint._hash_public_attrs(attrs) == encode_uncached(public)
+    assert fingerprint._hash_public_attrs({"_only": object()}) == stable_hash({})
+    attrs["handle"] = object()
+    assert not fingerprint._hash_public_attrs(attrs)[1]
+
+
+def test_monitor_component_propagates_state_exactness():
+    class FakeMonitor:
+        def __init__(self, state):
+            self._current_state = state
+            self.seen = 0
+
+    class FakeRuntime:
+        _machines = {}
+
+        def __init__(self, monitor):
+            self._monitors = {FakeMonitor: monitor}
+
+    monitor = FakeMonitor("Idle")
+    tracker = FingerprintTracker(FakeRuntime(monitor))
+    tracker.register_monitor(monitor)
+    assert tracker.current().exact
+    monitor._current_state = object()  # no canonical encoding
+    tracker.mark_monitor_dirty(monitor)
+    assert not tracker.current().exact
+    assert not tracker.recompute().exact
+    monitor._current_state = "Idle"
+    tracker.mark_monitor_dirty(monitor)
+    assert tracker.current().exact
+
+
+# ---------------------------------------------------------------------------
 # incremental == from-scratch, at every scheduling point of real executions
 # ---------------------------------------------------------------------------
 class InvariantCheckingStrategy(RandomStrategy):
@@ -112,7 +340,10 @@ class InvariantCheckingStrategy(RandomStrategy):
     def next_machine(self, enabled, step):
         tracker = self._tracked_runtime._fingerprint
         incremental = tracker.current()
-        scratch = tracker.recompute()
+        # rebuilt by the encoder alone: a wrong memo entry must not be able
+        # to give both sides the same wrong answer
+        with memo_disabled():
+            scratch = tracker.recompute()
         assert incremental.value == scratch.value, (
             f"incremental fingerprint diverged at step {step}"
         )
@@ -121,7 +352,7 @@ class InvariantCheckingStrategy(RandomStrategy):
         return super().next_machine(enabled, step)
 
 
-def _run_with_invariant(entry, iterations=5, max_steps=80):
+def _run_with_invariant(entry, iterations=5, max_steps=80, seed=11):
     config = TestingConfig(
         iterations=iterations,
         max_steps=max_steps,
@@ -129,7 +360,7 @@ def _run_with_invariant(entry, iterations=5, max_steps=80):
         stop_at_first_bug=False,
         max_bugs=None,
     )
-    strategy = InvariantCheckingStrategy(seed=11)
+    strategy = InvariantCheckingStrategy(seed=seed)
     engine = TestingEngine(entry, config, strategy)
     report = engine.run()
     assert strategy.checks > 100, "invariant was barely exercised"
@@ -144,6 +375,84 @@ def test_incremental_fingerprint_matches_recompute_on_replication():
     # examplesys exercises defer/ignore disciplines, receive and timers —
     # the queue-surgery paths the rolling hashes must track exactly.
     _run_with_invariant(build_replication_test(num_nodes=3, num_requests=2))
+
+
+class Ping(Event):
+    def __init__(self, number):
+        self.number = number
+
+
+class Pong(Event):
+    pass
+
+
+class Stop(Event):
+    pass
+
+
+class Picker(Machine):
+    """Receives out of arrival order (``on_inbox_remove``) and halts with
+    events still queued (``on_halt_clear``)."""
+
+    def on_start(self, count):
+        self.picked = []
+        echoes = [self.create(Echo, self.id, name=f"echo-{n}") for n in range(count)]
+        for number, echo in enumerate(echoes):
+            self.send(echo, Ping(number))
+        for _ in echoes:
+            # every Pong sits behind the Pings its echo sent first
+            yield Receive(Pong)
+            self.picked.append("pong")
+        ping = yield Receive(Ping, predicate=lambda event: event.number == 1)
+        self.picked.append(ping.number)
+        self.halt()
+
+
+class Echo(Machine):
+    def on_start(self, picker):
+        self.picker = picker
+
+    @on_event(Ping)
+    def on_ping(self, event):
+        self.send(self.picker, Ping(event.number + 10))
+        self.send(self.picker, Ping(event.number))
+        self.send(self.picker, Pong())
+        self.raise_event(Stop())
+
+    @on_event(Stop)
+    def on_stop(self, event):
+        self.halt()
+
+
+def _picker_entry(runtime):
+    runtime.create_machine(Picker, 3, name="picker")
+
+
+def test_incremental_fingerprint_matches_recompute_across_removals_and_halts():
+    calls = {"on_inbox_remove": 0, "on_halt_clear": 0, "on_raise": 0}
+
+    class CountingTracker(FingerprintTracker):
+        def on_inbox_remove(self, machine, index):
+            calls["on_inbox_remove"] += 1
+            super().on_inbox_remove(machine, index)
+
+        def on_halt_clear(self, machine):
+            calls["on_halt_clear"] += 1
+            super().on_halt_clear(machine)
+
+        def on_raise(self, machine, event):
+            calls["on_raise"] += 1
+            super().on_raise(machine, event)
+
+    import repro.core.runtime.testing as testing_runtime
+
+    saved = testing_runtime.FingerprintTracker
+    testing_runtime.FingerprintTracker = CountingTracker
+    try:
+        _run_with_invariant(_picker_entry, iterations=25, max_steps=60)
+    finally:
+        testing_runtime.FingerprintTracker = saved
+    assert min(calls.values()) > 0, calls
 
 
 def test_fingerprints_flow_into_coverage_and_report():

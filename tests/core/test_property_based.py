@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+from collections import deque
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import fingerprint
 from repro.core import (
     Event,
     Machine,
@@ -15,6 +18,8 @@ from repro.core import (
 from repro.core.strategy.pct_strategy import PCTStrategy
 from repro.core.strategy.random_strategy import RandomStrategy
 from repro.core.ids import MachineId
+
+from .test_fingerprint import Color, Level, _picker_entry, _run_with_invariant, encode_uncached
 
 
 class Work(Event):
@@ -140,3 +145,138 @@ def test_shrunk_scenario_bugs_keep_their_bug_class(scenario_name, strategy, seed
     assert result.bug.kind == bug.kind == testcase.expected_bug_kind
     replayed = engine.replay(result.trace)
     assert replayed is not None and replayed.kind == bug.kind
+
+
+# ---------------------------------------------------------------------------
+# fingerprint memo: a hit is indistinguishable from encoding again
+# ---------------------------------------------------------------------------
+class Payload:
+    """A structured object: class identity plus public attributes."""
+
+    def __init__(self, attrs):
+        self.__dict__.update(attrs)
+
+
+_machine_ids = st.builds(
+    MachineId, st.integers(0, 2), st.sampled_from(["A", "B"]), st.sampled_from(["", "n"])
+)
+# values that compare equal and encode differently sit next to each other
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 2),
+    st.integers(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+    st.floats(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    _machine_ids,
+    st.sampled_from([Color.RED, Color.BLUE, Level.LOW, Level.HIGH]),
+    st.builds(object),  # no canonical encoding: inexact
+)
+_hashables = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.tuples(inner, inner), st.frozensets(inner, max_size=3)),
+    max_leaves=4,
+)
+_values = st.recursive(
+    _hashables,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.builds(deque, st.lists(inner, max_size=3)),
+        st.sets(_hashables, max_size=3),
+        st.dictionaries(_hashables, inner, max_size=3),
+        st.builds(Payload, st.dictionaries(st.sampled_from(["a", "b", "_p"]), inner, max_size=3)),
+    ),
+    max_leaves=12,
+)
+
+
+def _mutable_nodes(value, found):
+    """The lists, deques, dicts and payloads of a (still acyclic) value."""
+    if isinstance(value, (list, deque, tuple)):
+        children = list(value)
+    elif isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, Payload):
+        children = list(vars(value).values())
+    else:
+        return found
+    if not isinstance(value, tuple):
+        found.append(value)
+    for child in children:
+        _mutable_nodes(child, found)
+    return found
+
+
+def _twin(value):
+    """A copy in which every leaf that has one is swapped for a value that
+    compares equal to it (as a dict key) and encodes differently."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, Level):
+        return float(value) if abs(value) < 2**53 else value
+    if isinstance(value, float):
+        return -value if value == 0 else value
+    if isinstance(value, MachineId):
+        return MachineId(value.value, "A" if value.type_name == "B" else "B", value.name)
+    if isinstance(value, (list, tuple, deque, set, frozenset)):
+        return type(value)(_twin(item) for item in value)
+    if isinstance(value, dict):
+        return {_twin(key): _twin(item) for key, item in value.items()}
+    if isinstance(value, Payload):
+        return Payload(_twin(vars(value)))
+    return value
+
+
+def _attach(node, item):
+    if isinstance(node, (list, deque)):
+        node.append(item)
+    elif isinstance(node, dict):
+        node["link"] = item
+    else:
+        node.link = item
+
+
+def _assert_memo_transparent(value):
+    expected = encode_uncached(value)
+    assert fingerprint.stable_hash(value) == expected  # whatever the memo holds
+    assert fingerprint.stable_hash(value) == expected  # what that call stored
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_values, data=st.data())
+def test_memoised_stable_hash_equals_the_uncached_encoder(value, data):
+    twin = _twin(value)
+    nodes = _mutable_nodes(value, [])
+    if nodes:
+        # shared sub-objects, cycles and self-references
+        picks = st.integers(0, len(nodes) - 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            _attach(nodes[data.draw(picks)], nodes[data.draw(picks)])
+    memo = fingerprint._MEMO
+    if data.draw(st.booleans()):
+        memo.clear()  # else: filled by the examples before this one
+    for each in (value, twin, value):
+        _assert_memo_transparent(each)
+    saved = memo.generation
+    memo.generation = 2  # evicts in the middle of encoding one value
+    try:
+        _assert_memo_transparent(value)
+    finally:
+        memo.generation = saved
+    _assert_memo_transparent(value)  # refilled
+    if nodes:
+        before = fingerprint.stable_hash(value)
+        _attach(nodes[data.draw(picks)], data.draw(_leaves))
+        _assert_memo_transparent(value)  # mutated after it was hashed
+        if before[1] and isinstance(nodes[0], list):
+            assert fingerprint.stable_hash(value) != before
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_lazy_folds_match_recompute_at_every_scheduling_point(seed):
+    """Out-of-order receives, raised events and halts with queued events."""
+    _run_with_invariant(_picker_entry, iterations=8, max_steps=60, seed=seed)

@@ -2,14 +2,14 @@
 
 from repro.analysis import independence_for_classes
 from repro.analysis.extract import discover_classes
-from repro.core import DFSStrategy, TestingConfig, TestingEngine
+from repro.core import DFSStrategy, TestingConfig, TestingEngine, get_scenario
 from repro.core.strategy import DporLiteStrategy, create_strategy
 from repro.vnext.harness.scenarios import build_failover_test
 
 MAX_STEPS = 5
 
 
-def _exhaust(strategy_name, stateful=False, independence=None, max_steps=MAX_STEPS):
+def _exhaust(strategy_name, stateful=False, independence=None, max_steps=MAX_STEPS, entry=None):
     config = TestingConfig(
         iterations=1_000_000,
         max_steps=max_steps,
@@ -20,7 +20,7 @@ def _exhaust(strategy_name, stateful=False, independence=None, max_steps=MAX_STE
         stateful=stateful,
         independence=independence,
     )
-    engine = TestingEngine(build_failover_test(fixed=False, num_nodes=1), config)
+    engine = TestingEngine(entry or build_failover_test(fixed=False, num_nodes=1), config)
     report = engine.run()
     assert report.state_space_exhausted
     return report, engine.strategy
@@ -32,6 +32,16 @@ def test_stateful_dfs_explores_fewer_schedules_same_bugs():
     assert pruned.iterations_executed < plain.iterations_executed
     assert {b.kind for b in pruned.bugs} == {b.kind for b in plain.bugs}
     assert strategy.pruned_schedules > 0
+
+
+def test_stateful_dfs_same_bug_kinds_on_migratingtable():
+    # Its machines and events carry enum members (``PartitionState``), which
+    # once all hashed alike: dedupe must tell states apart by them.
+    build = get_scenario("migratingtable/DeletePrimaryKey/directed").build
+    plain, _ = _exhaust("dfs", max_steps=8, entry=build())
+    pruned, _ = _exhaust("dfs", stateful=True, max_steps=8, entry=build())
+    assert pruned.iterations_executed <= plain.iterations_executed
+    assert {b.kind for b in pruned.bugs} == {b.kind for b in plain.bugs}
 
 
 def test_stateful_dfs_composes_with_dpor_lite():
