@@ -6,9 +6,8 @@ schedules.  Both strategies are fully deterministic, so the iteration counts
 are exact, not noisy timings.
 
 Known-good reference (one-node failover scenario, max_steps=7): DFS exhausts
-the space in 10669 schedules, a v1 (method-level) independence table prunes
-to 4648 (2.30x), and the v2 field-level table of PR 9 to 1862 (5.73x vs DFS,
-2.50x vs v1).  At max_steps=8 the v1 gap widens to 3.26x (74156 vs 22744).
+the space in 10669 schedules, the field-level independence table prunes it
+to 1862 (5.73x).
 """
 
 try:
@@ -17,7 +16,7 @@ except ImportError:  # imported as a plain module, outside a pytest session
     def record_bench_result(gate, **metrics):
         pass
 
-from repro.analysis import LEGACY_TABLE_VERSION, independence_for_classes
+from repro.analysis import independence_for_classes
 from repro.analysis.extract import discover_classes
 from repro.core import TestingConfig, TestingEngine
 from repro.vnext.harness.scenarios import build_failover_test
@@ -68,35 +67,6 @@ def test_bench_dpor_prunes_dfs_schedule_space(benchmark):
     assert dfs.bug_found and pruned.bug_found
     assert {bug.kind for bug in dfs.bugs} == {bug.kind for bug in pruned.bugs}
     assert ratio >= 2.0, f"expected >= 2x pruning, got {ratio:.2f}x"
-
-
-def test_bench_dpor_v2_table_outprunes_v1(benchmark):
-    """The field-level (v2) footprints must beat the method-level (v1) table
-    by at least 1.2x on the same space, with identical bug coverage."""
-    classes = discover_classes(lambda: build_failover_test(fixed=False, num_nodes=1))
-    v1_table = independence_for_classes(classes, version=LEGACY_TABLE_VERSION)
-    v2_table = independence_for_classes(classes)
-    v1 = _exhaust("dpor-lite", independence=v1_table)
-    v2 = benchmark.pedantic(
-        lambda: _exhaust("dpor-lite", independence=v2_table), rounds=1, iterations=1
-    )
-    ratio = v1.iterations_executed / v2.iterations_executed
-    print()
-    print(
-        f"[dpor-lite v2 gate] v1={v1.iterations_executed} schedules, "
-        f"v2={v2.iterations_executed} schedules ({ratio:.2f}x fewer)"
-    )
-    record_bench_result(
-        "dpor-lite-v2",
-        v1_schedules=v1.iterations_executed,
-        v2_schedules=v2.iterations_executed,
-        prune_ratio=round(ratio, 3),
-        v1_seconds=round(v1.elapsed_seconds, 3),
-        v2_seconds=round(v2.elapsed_seconds, 3),
-    )
-    assert v1.bug_found and v2.bug_found
-    assert {bug.kind for bug in v1.bugs} == {bug.kind for bug in v2.bugs}
-    assert ratio >= 1.2, f"expected >= 1.2x field-level pruning, got {ratio:.2f}x"
 
 
 def test_bench_dpor_without_table_degenerates_to_dfs():

@@ -34,7 +34,7 @@ def _build(num_workers):
 
 def _result_fingerprint(report):
     return [
-        (r.job.index, r.job.strategy, r.job.seed, r.report.iterations_executed,
+        (r.unit.index, r.unit.strategy, r.unit.seed, r.report.iterations_executed,
          r.report.bug_found)
         for r in report.results
     ]

@@ -2,7 +2,7 @@
 
 Also lets CI (and developers) force a multiprocessing start method for the
 whole test session: setting ``MULTIPROCESSING_START_METHOD=spawn`` makes
-every ``multiprocessing.Pool`` the portfolio creates use spawn-started
+every worker pool (``repro.core.hunt.WorkerPool``) use spawn-started
 workers, which is how the suite reproduces the macOS/Windows default on
 Linux runners (fresh interpreters that must re-import user scenarios).
 """

@@ -99,7 +99,7 @@ def main():
         bug = report.first_bug
         winner = report.winning_result
         print("replaying the buggy schedule (by scenario name) ...")
-        replayed = replay_trace(report.scenario, bug.trace, winner.job.config)
+        replayed = replay_trace(report.scenario, bug.trace, winner.unit.config(report.config))
         print(f"replayed bug: {replayed}")
         print("last log lines of the buggy execution:")
         for line in bug.log[-5:]:

@@ -27,7 +27,7 @@ def main():
         for line in interesting[:12]:
             print(f"  {line}")
         winner = report.winning_result
-        print("replay:", replay_trace(report.scenario, bug.trace, winner.job.config))
+        print("replay:", replay_trace(report.scenario, bug.trace, winner.unit.config(report.config)))
 
     fixed_report = run_scenario(
         "vnext/failover-fixed", TestingConfig(iterations=200, max_steps=3000, seed=11)

@@ -17,11 +17,11 @@ The package provides:
 from .core import (
     Event,
     Halt,
+    HuntReport,
     Machine,
     MachineId,
     Monitor,
     Portfolio,
-    PortfolioReport,
     ProductionRuntime,
     Receive,
     Shrinker,
@@ -48,11 +48,11 @@ __version__ = "1.1.0"
 __all__ = [
     "Event",
     "Halt",
+    "HuntReport",
     "Machine",
     "MachineId",
     "Monitor",
     "Portfolio",
-    "PortfolioReport",
     "ProductionRuntime",
     "Receive",
     "Shrinker",

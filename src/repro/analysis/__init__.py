@@ -67,7 +67,6 @@ from .extract import (
     extract_machine_model,
 )
 from .independence import (
-    LEGACY_TABLE_VERSION,
     TABLE_VERSION,
     build_independence_table,
     footprint_for,
@@ -93,7 +92,6 @@ __all__ = [
     "GraphEdge",
     "GraphNode",
     "HandlerReads",
-    "LEGACY_TABLE_VERSION",
     "MachineModel",
     "NondetFinding",
     "ProducerSite",

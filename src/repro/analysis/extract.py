@@ -267,7 +267,7 @@ def _is_plain_ctor(cls: type) -> bool:
 # (``self.store.add_extent(...)``) without the method degrading to
 # "external" — the effect stays inside the machine's own heap, which the
 # independence table already accounts for.  Anything the walk cannot prove
-# keeps the v1 verdict: external.
+# stays external.
 _CONFINED_CLASS_CACHE: Dict[type, bool] = {}
 _CONFINED_CTOR_CACHE: Dict[type, bool] = {}
 
@@ -1277,11 +1277,7 @@ def _extract_function(
 
     # second pass: calls, plus everything that can taint the method as
     # "external" — an effect the event-level model cannot account for.
-    # ``external_legacy`` marks sites only the *v1* discipline tainted (the
-    # current one proves them confined); the v1 table builder unions it back
-    # in so version-1 footprints keep their historical shape.
     external = False
-    external_legacy = False
     for node in ast.walk(fdef):
         if id(node) in skipped_nodes:
             continue
@@ -1296,9 +1292,7 @@ def _extract_function(
                     # ...): the callee could do anything with the machine —
                     # unless the callee is a plain/confined constructor that
                     # provably only binds the reference
-                    if _self_escapes_to_confined_ctor(node, parents, scope):
-                        external_legacy = True
-                    else:
+                    if not _self_escapes_to_confined_ctor(node, parents, scope):
                         external = True
             elif isinstance(node.ctx, ast.Load):
                 # a bare reference to a plain function (e.g. passed as a
@@ -1490,35 +1484,29 @@ def _extract_function(
                 external = True
         elif isinstance(func, ast.Attribute):
             receiver = func.value
-            confined_v1 = (
+            confined = (
                 isinstance(receiver, ast.Constant)
                 or _is_container_expr(receiver, scope)
                 or (_is_self_attr(receiver) and receiver.attr in container_attrs)
                 or (isinstance(receiver, ast.Name) and receiver.id in local_containers)
-            )
-            confined = confined_v1 or (
-                _is_self_attr(receiver) and receiver.attr in confined_objects
+                # a call on an effect-confined helper object stays inside
+                # this machine's heap
+                or (_is_self_attr(receiver) and receiver.attr in confined_objects)
             )
             if not confined:
                 # a method call on an object this machine does not confine:
                 # its effects are invisible to the event-level model
                 external = True
-            else:
-                if not confined_v1:
-                    # v2-only fact: a call on an effect-confined helper
-                    # object stays inside this machine's heap
-                    external_legacy = True
-                if (
-                    _is_self_attr(receiver)
-                    and receiver.attr in container_attrs
-                    and func.attr not in _CONTAINER_READONLY
-                ):
-                    # the call may insert values the model cannot prove
-                    # fresh, which blocks choice-time ``attr_item``
-                    # resolution
-                    model.method_container_stores.setdefault(method, set()).add(
-                        receiver.attr
-                    )
+            elif (
+                _is_self_attr(receiver)
+                and receiver.attr in container_attrs
+                and func.attr not in _CONTAINER_READONLY
+            ):
+                # the call may insert values the model cannot prove fresh,
+                # which blocks choice-time ``attr_item`` resolution
+                model.method_container_stores.setdefault(method, set()).add(
+                    receiver.attr
+                )
         else:
             resolved = _resolve_or_none(func, scope)
             if resolved is Receive:
@@ -1531,12 +1519,9 @@ def _extract_function(
             elif any(resolved is fn for fn in _BENIGN_CALLABLES):
                 pass
             elif isinstance(resolved, type) and (
-                issubclass(resolved, BaseException) or _is_plain_ctor(resolved)
+                issubclass(resolved, BaseException) or _ctor_is_confined(resolved)
             ):
                 pass
-            elif isinstance(resolved, type) and _ctor_is_confined(resolved):
-                # v2-only fact: the constructor runs only confined code
-                external_legacy = True
             else:
                 external = True
 
@@ -1627,8 +1612,6 @@ def _extract_function(
                         )
     if external:
         model.method_external.add(method)
-    elif external_legacy:
-        model.method_external_legacy.add(method)
 
     # payload fields read off the received-event parameter (field-sensitive
     # dataflow); None = the parameter escapes, so any field may be read

@@ -3,7 +3,7 @@
 Two pending dispatches *commute* when executing them in either order reaches
 the same program state and enables the same bugs.  This module derives a
 conservative per-``(machine class, event type)`` **footprint** from the
-extraction layer, split (since table version 2) into the machines a dispatch
+extraction layer, split into the machines a dispatch
 can *write* (send to, halt) and the machines it only *reads* (inbox
 queries), plus the monitors it can notify and whether it allocates machine
 ids.  The ``dpor-lite`` strategy resolves these symbolic footprints against
@@ -31,7 +31,7 @@ Footprint item grammar (JSON-safe, see :func:`build_independence_table`):
   superset, provided no method in the dispatch closure can grow the container
   with non-fresh values mid-dispatch (checked statically, else opaque)
 - ``{"class": qualname}`` — a freshly created machine of that class
-- ``{"event-field": name}`` *(version 2)* — the target id is carried in the
+- ``{"event-field": name}`` — the target id is carried in the
   dispatched event's payload (``self.send(event.requester, ...)``); resolved
   at choice time by reading the field off the machine's head event.  Sound
   because a sleeping machine's head event cannot change (sends append at the
@@ -40,12 +40,6 @@ Footprint item grammar (JSON-safe, see :func:`build_independence_table`):
   itself opaque (payload mutation degrades its method to external).  Emitted
   only for sites in handler methods directly registered for the dispatched
   event type — helper methods may receive a different second argument.
-
-Version-1 tables remain buildable (``build_independence_table(program,
-version=1)``): they use the coarser historical footprints — the v1 external
-discipline (no effect-confined helper objects, no constructor-``self``
-relaxation) and no event-field items — which is what the benchmark gate
-compares the field-level tables against.
 """
 
 from __future__ import annotations
@@ -56,24 +50,13 @@ from repro.core.events import Halt, StartEvent
 
 from .model import MachineModel, ProgramModel
 
-#: current table format version, bumped on any incompatible change
+#: table format version, bumped on any incompatible change
 TABLE_VERSION = 2
-
-#: the PR 7 format: merged ``sends``/``queries`` item lists, v1 external
-#: discipline; still produced on request for precision comparisons
-LEGACY_TABLE_VERSION = 1
 
 
 def type_key(cls: type) -> str:
     """Stable JSON key for a class: ``module.QualName``."""
     return f"{cls.__module__}.{cls.__qualname__}"
-
-
-def _external_methods(model: MachineModel, version: int) -> Set[str]:
-    """The external-method set under the requested table semantics."""
-    if version >= 2:
-        return model.method_external
-    return model.method_external | model.method_external_legacy
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +109,7 @@ def _closure(model: MachineModel, seeds: Iterable[str]) -> Set[str]:
 # footprints
 # ---------------------------------------------------------------------------
 def _monitor_is_transparent(
-    program: ProgramModel, monitor: type, event_type: Optional[type], version: int
+    program: ProgramModel, monitor: type, event_type: Optional[type]
 ) -> bool:
     """Monitor handlers run inline during ``notify_monitor``; their effects
     stay monitor-local only when the notified handler closure is effect-clean."""
@@ -136,7 +119,7 @@ def _monitor_is_transparent(
     methods = _dispatch_methods(model, event_type)
     if methods is None:
         return False
-    return not (methods & _external_methods(model, version))
+    return not (methods & model.method_external)
 
 
 def _item_of(
@@ -167,10 +150,7 @@ def _item_of(
 
 
 def footprint_for(
-    program: ProgramModel,
-    model: MachineModel,
-    event_type: type,
-    version: int = TABLE_VERSION,
+    program: ProgramModel, model: MachineModel, event_type: type
 ) -> Optional[dict]:
     """Concrete footprint for one ``(machine, event-type)`` dispatch pair;
     ``None`` means opaque (dependent with everything)."""
@@ -179,9 +159,9 @@ def footprint_for(
     methods = _dispatch_methods(model, event_type)
     if methods is None:
         return None
-    if methods & _external_methods(model, version):
+    if methods & model.method_external:
         return None
-    seeds = _seed_methods(model, event_type) if version >= 2 else frozenset()
+    seeds = _seed_methods(model, event_type)
     rebound: Set[str] = set()
     container_grown: Set[str] = set()
     for name in methods:
@@ -216,20 +196,13 @@ def footprint_for(
         if site.method not in methods:
             continue
         if site.monitor is None or not _monitor_is_transparent(
-            program, site.monitor, site.event_type, version
+            program, site.monitor, site.event_type
         ):
             return None
         monitors.add(type_key(site.monitor))
     for site in model.creates:
         if site.method in methods:
             creates = True
-    if version < 2:
-        return {
-            "creates": creates,
-            "monitors": sorted(monitors),
-            "sends": _sorted_items(writes),
-            "queries": _sorted_items(reads),
-        }
     return {
         "creates": creates,
         "monitors": sorted(monitors),
@@ -252,9 +225,7 @@ def _sorted_items(items: List[object]) -> List[object]:
 # ---------------------------------------------------------------------------
 # the table
 # ---------------------------------------------------------------------------
-def build_independence_table(
-    program: ProgramModel, version: int = TABLE_VERSION
-) -> dict:
+def build_independence_table(program: ProgramModel) -> dict:
     """Whole-program independence table, JSON-safe and byte-stable.
 
     ``table["machines"][machine_key]["events"][event_key]`` is either a
@@ -262,13 +233,7 @@ def build_independence_table(
     absent from the table are opaque by construction — the consumer side
     (:class:`repro.core.strategy.dpor_lite.DporLiteStrategy`) treats every
     lookup miss as dependent-with-everything.
-
-    ``version`` selects the footprint semantics: :data:`TABLE_VERSION`
-    (field-level read/write sets) or :data:`LEGACY_TABLE_VERSION` (the PR 7
-    format, kept for precision comparisons).
     """
-    if version not in (LEGACY_TABLE_VERSION, TABLE_VERSION):
-        raise ValueError(f"unsupported independence table version: {version!r}")
     machines: Dict[str, dict] = {}
     for model in sorted(program, key=lambda m: (m.module, m.line, m.name)):
         if model.kind != "machine":
@@ -282,25 +247,22 @@ def build_independence_table(
         event_types.add(Halt)
         event_types.add(StartEvent)
         for event_type in event_types:
-            footprint = footprint_for(program, model, event_type, version)
+            footprint = footprint_for(program, model, event_type)
             events[type_key(event_type)] = (
                 {"opaque": True} if footprint is None else footprint
             )
         machines[type_key(model.cls)] = {"events": dict(sorted(events.items()))}
-    return {"version": version, "machines": machines}
+    return {"version": TABLE_VERSION, "machines": machines}
 
 
-def independence_for_classes(
-    classes: Iterable[type], version: int = TABLE_VERSION
-) -> dict:
+def independence_for_classes(classes: Iterable[type]) -> dict:
     """Convenience: build the table straight from root machine classes."""
     from .extract import build_program
 
-    return build_independence_table(build_program(classes), version)
+    return build_independence_table(build_program(classes))
 
 
 __all__ = [
-    "LEGACY_TABLE_VERSION",
     "TABLE_VERSION",
     "build_independence_table",
     "footprint_for",

@@ -231,12 +231,6 @@ class MachineModel:
     #: (calls into non-framework objects, payload mutation, leaking ``self``);
     #: dispatches reaching such a method degrade to dependent-with-everything
     method_external: Set[str] = field(default_factory=set)
-    #: methods the *v1* external discipline tainted but the current one
-    #: proves confined (calls on effect-confined helper objects, ``self``
-    #: passed to a plain/confined constructor).  The v1 independence-table
-    #: builder treats ``method_external | method_external_legacy`` as
-    #: external so version-1 tables keep their historical footprints.
-    method_external_legacy: Set[str] = field(default_factory=set)
     #: method name -> payload field names read off the received-event
     #: parameter (``event.f`` loads); ``None`` when the parameter escapes
     #: (rebound, stored, passed to a call) so any field may be read.

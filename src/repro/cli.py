@@ -47,12 +47,14 @@ from typing import List, Optional
 
 from .core.config import TestingConfig
 from .core.engine import TestingEngine
-from .core.portfolio import Portfolio, PortfolioReport, replay_trace
+from .core.hunt import HuntReport
+from .core.parallel import ParallelExplorer
+from .core.portfolio import Portfolio, replay_trace
 from .core.registry import all_scenarios, get_scenario, import_scenario_modules
 from .core.runtime import ProductionRuntime
 from .core.strategy import available_strategies
 
-# Shared with the portfolio workers, which re-run the same imports inside
+# Shared with the pool workers, which re-run the same imports inside
 # spawn-started processes (see repro.core.registry.import_scenario_modules).
 _import_extra_modules = import_scenario_modules
 
@@ -153,37 +155,66 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["independence"] = independence_for_scenarios([testcase], cache=cache)
     # Built through the constructor so __post_init__ validates the values.
     config = testcase.default_config(**overrides)
-    if args.parallel is not None:
-        return _run_parallel_search(args, testcase, config)
-    default_strategies = ["random", "pct"]
     if args.prune:
         default_strategies = ["dpor-lite"]
-    elif args.stateful:
+    elif args.stateful or args.parallel is not None:
         default_strategies = ["dfs"]
-    portfolio = Portfolio(
-        testcase,
-        strategies=args.strategy or default_strategies,
-        iterations=args.iterations,
-        num_workers=args.workers,
-        num_shards=args.shards,
-        seed=args.seed,
-        config=config,
+    else:
+        default_strategies = ["random", "pct"]
+    strategies = args.strategy or default_strategies
+    shared = dict(
         imports=tuple(args.imports or ()),
         start_method=args.start_method,
-        shrink=args.shrink,
         stop_on_first_bug=args.stop_on_bug,
     )
-    report = portfolio.run()
+    if args.parallel is not None:
+        # ``run --parallel N``: one exhaustive strategy, N processes.
+        if len(strategies) != 1:
+            print("error: --parallel explores the choice tree with a single "
+                  "exhaustive strategy; pass at most one --strategy", file=sys.stderr)
+            return 2
+        # The portfolio splits --iterations across seed shards; the parallel
+        # search has no shards — the same flag is the total execution budget.
+        hunt = ParallelExplorer(
+            testcase,
+            strategy=strategies[0],
+            num_workers=args.parallel,
+            config=dataclasses.replace(config, iterations=args.iterations),
+            claim_iterations=args.claim_iterations,
+            **shared,
+        )
+    else:
+        hunt = Portfolio(
+            testcase,
+            strategies=strategies,
+            iterations=args.iterations,
+            num_workers=args.workers,
+            num_shards=args.shards,
+            seed=args.seed,
+            config=config,
+            **shared,
+        )
+    report = hunt.run()
+    if args.shrink:
+        report.shrink_winning_bug()
     if args.json:
         merged = report.merged_coverage
-        print(json.dumps({
+        document = {
             "scenario": report.scenario,
             "summary": report.summary(),
             "bug_found": report.bug_found,
             "total_iterations": report.total_iterations,
             "coverage": merged.summary(),
             "fingerprints": sorted(format(fp, "016x") for fp in merged.fingerprints),
-        }, indent=2))
+        }
+        if report.has_claims:
+            document.update(
+                claims=len(report.results),
+                state_space_exhausted=report.state_space_exhausted,
+                stopped_early=report.stopped_early,
+                workers=report.worker_stats(),
+            )
+        print(json.dumps(document, indent=2))
     else:
         print(report.summary())
     if args.output:
@@ -196,80 +227,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_parallel_search(args: argparse.Namespace, testcase, config) -> int:
-    """The ``run --parallel N`` path: one exhaustive strategy, N processes."""
-    from .core.parallel import ParallelExplorer
-
-    if args.shrink:
-        print("error: --shrink is not supported with --parallel; shrink the "
-              "written report with `python -m repro shrink`", file=sys.stderr)
-        return 2
-    strategies = args.strategy or (["dpor-lite"] if args.prune else ["dfs"])
-    if len(strategies) != 1:
-        print("error: --parallel explores the choice tree with a single "
-              "exhaustive strategy; pass at most one --strategy", file=sys.stderr)
-        return 2
-    # The portfolio splits --iterations across seed shards; the parallel
-    # search has no shards — the same flag is the total execution budget.
-    config = dataclasses.replace(config, iterations=args.iterations)
-    explorer = ParallelExplorer(
-        testcase,
-        strategy=strategies[0],
-        num_workers=args.parallel,
-        config=config,
-        claim_iterations=args.claim_iterations,
-        imports=tuple(args.imports or ()),
-        start_method=args.start_method,
-        stop_on_first_bug=args.stop_on_bug,
-    )
-    report = explorer.run()
-    if args.json:
-        merged = report.merged_coverage
-        print(json.dumps({
-            "scenario": report.scenario,
-            "summary": report.summary(),
-            "bug_found": report.bug_found,
-            "total_iterations": report.total_iterations,
-            "claims": len(report.results),
-            "state_space_exhausted": report.state_space_exhausted,
-            "stopped_early": report.stopped_early,
-            "coverage": merged.summary(),
-            "fingerprints": sorted(format(fp, "016x") for fp in merged.fingerprints),
-            "workers": report.worker_stats(),
-        }, indent=2))
-    else:
-        print(report.summary())
-    if args.output:
-        # Repackaged claim-per-job so `python -m repro replay` just works.
-        report.as_portfolio_report(config, tuple(args.imports or ())).save(args.output)
-        if not args.json:
-            print(f"report written to {args.output}")
-    if args.expect_bug and not report.bug_found:
-        print("error: a bug was expected but none was found", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _replayable_bugs(report: PortfolioReport):
-    """Every (job result, bug) pair of the report that carries a trace."""
-    return [
-        (result, bug)
+def _load_bug(args: argparse.Namespace, verb: str):
+    """Load ``args.report`` and pick the ``--bug``-selected bug among those
+    that carry a trace.  Returns ``(report, bug, config)`` — the config of
+    the unit that found it — or prints an error and returns None."""
+    _import_extra_modules(args.imports)
+    report = HuntReport.load(args.report)
+    bugs = [
+        (result.unit, bug)
         for result in report.results
         for bug in result.report.bugs
         if bug.trace is not None
     ]
-
-
-def _select_bug(report: PortfolioReport, path: str, index: int):
-    """Pick the ``--bug``-selected pair, or print an error and return None."""
-    bugs = _replayable_bugs(report)
     if not bugs:
-        print(f"error: {path} contains no replayable bug trace", file=sys.stderr)
+        print(f"error: {args.report} contains no replayable bug trace", file=sys.stderr)
         return None
-    if not (0 <= index < len(bugs)):
+    if not (0 <= args.bug < len(bugs)):
         print(f"error: --bug must be in [0, {len(bugs)})", file=sys.stderr)
         return None
-    return bugs[index]
+    unit, bug = bugs[args.bug]
+    print(f"{verb} #{args.bug} of {report.scenario!r} "
+          f"(job #{unit.index}, {unit.strategy}, seed {unit.seed})")
+    print(f"recorded: {bug}")
+    return report, bug, unit.config(report.config)
 
 
 def _print_state_context(trace, limit: int = 8) -> None:
@@ -287,13 +267,10 @@ def _print_state_context(trace, limit: int = 8) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    _import_extra_modules(args.imports)
-    report = PortfolioReport.load(args.report)
-    selected = _select_bug(report, args.report, args.bug)
-    if selected is None:
+    loaded = _load_bug(args, "replaying shrunk trace of bug" if args.shrunk else "replaying bug")
+    if loaded is None:
         return 1
-    result, bug = selected
-    config = result.job.config
+    report, bug, config = loaded
     if args.verbose:
         config = dataclasses.replace(config, verbose=True)
     if args.shrunk:
@@ -304,10 +281,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         trace = bug.shrunk_trace
     else:
         trace = bug.trace
-    which = "shrunk trace of bug" if args.shrunk else "bug"
-    print(f"replaying {which} #{args.bug} of {report.scenario!r} "
-          f"(job #{result.job.index}, {result.job.strategy}, seed {result.job.seed})")
-    print(f"recorded: {bug}")
     _print_state_context(trace)
     replayed = replay_trace(report.scenario, trace, config)
     if replayed is None:
@@ -331,20 +304,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    _import_extra_modules(args.imports)
-    report = PortfolioReport.load(args.report)
-    selected = _select_bug(report, args.report, args.bug)
-    if selected is None:
+    loaded = _load_bug(args, "shrinking bug")
+    if loaded is None:
         return 1
-    result, bug = selected
-    testcase = get_scenario(report.scenario)
-    config = result.job.config
+    report, bug, config = loaded
     if args.max_replays is not None:
         config = dataclasses.replace(config, shrink_max_replays=args.max_replays)
-    print(f"shrinking bug #{args.bug} of {report.scenario!r} "
-          f"(job #{result.job.index}, {result.job.strategy}, seed {result.job.seed})")
-    print(f"recorded: {bug}")
-    engine = TestingEngine(testcase.build(), config)
+    engine = TestingEngine(get_scenario(report.scenario).build(), config)
     shrink_result = engine.shrink_bug(bug)
     stats = shrink_result.stats
     print(stats.summary())

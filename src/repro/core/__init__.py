@@ -12,6 +12,9 @@ The public surface of the framework:
   single-strategy systematic testing entry points.
 * :func:`scenario` / :class:`TestCase` — the declarative scenario registry
   every case-study harness registers into.
+* :class:`HuntReport` / :class:`WorkUnit` — the one result model of every
+  multi-execution run (:mod:`repro.core.hunt`, which also holds the one
+  worker pool).
 * :class:`Portfolio` / :func:`run_scenario` — multi-strategy, multi-process
   portfolio runs over registered scenarios.
 * :class:`ParallelExplorer` / :func:`explore_scenario` — prefix-partitioned
@@ -25,23 +28,9 @@ from .config import TestingConfig
 from .coverage import CoverageTracker
 from .declarations import DEFER, IGNORE, State, on_entry, on_event, on_exit
 from .engine import TestingEngine, TestReport, run_test
-from .parallel import (
-    ClaimResult,
-    ParallelExplorer,
-    ParallelReport,
-    SubtreeClaim,
-    explore_scenario,
-)
-from .portfolio import (
-    JobResult,
-    Portfolio,
-    PortfolioJob,
-    PortfolioReport,
-    merge_results,
-    replay_bug,
-    replay_trace,
-    run_scenario,
-)
+from .hunt import HuntReport, UnitResult, WorkUnit
+from .parallel import ParallelExplorer, explore_scenario
+from .portfolio import Portfolio, replay_bug, replay_trace, run_scenario
 from .registry import (
     TestCase,
     all_scenarios,
@@ -84,7 +73,6 @@ from .trace import ScheduleTrace, TraceStep
 __all__ = [
     "BugError",
     "BugInfo",
-    "ClaimResult",
     "CoverageTracker",
     "DEFER",
     "DFSStrategy",
@@ -94,18 +82,15 @@ __all__ = [
     "Halt",
     "HarnessDescription",
     "HarnessStatistics",
+    "HuntReport",
     "IGNORE",
-    "JobResult",
     "LivenessViolationError",
     "Machine",
     "MachineId",
     "Monitor",
     "PCTStrategy",
     "ParallelExplorer",
-    "ParallelReport",
     "Portfolio",
-    "PortfolioJob",
-    "PortfolioReport",
     "ProductionRuntime",
     "RandomStrategy",
     "Receive",
@@ -121,7 +106,6 @@ __all__ = [
     "Shrinker",
     "StartEvent",
     "State",
-    "SubtreeClaim",
     "StartTimer",
     "StopTimer",
     "TestCase",
@@ -134,6 +118,8 @@ __all__ = [
     "TraceStep",
     "UnexpectedExceptionError",
     "UnhandledEventError",
+    "UnitResult",
+    "WorkUnit",
     "aggregate_statistics",
     "all_scenarios",
     "available_strategies",
@@ -141,7 +127,6 @@ __all__ = [
     "explore_scenario",
     "get_scenario",
     "load_builtin_scenarios",
-    "merge_results",
     "on_entry",
     "on_event",
     "on_exit",

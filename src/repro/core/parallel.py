@@ -5,7 +5,11 @@ the choice tree one schedule at a time on a single core.  This module drives
 them on several processes at once by partitioning the *tree*, not the seed
 space: a subtree claim is a frozen prefix of scheduler decisions (see
 ``DFSStrategy.set_claim``), and the subtrees of distinct claims are disjoint
-by construction, so workers never explore the same schedule twice.
+by construction, so workers never explore the same schedule twice.  It is a
+policy over the shared hunt model (:mod:`repro.core.hunt`): claims are
+a :class:`~repro.core.hunt.WorkUnit` each, workers are a
+:class:`~repro.core.hunt.WorkerPool`, the result is a
+:class:`~repro.core.hunt.HuntReport`.
 
 Coordinator/worker protocol
 ---------------------------
@@ -38,8 +42,9 @@ another worker already exhausted abandons the whole claim
 
 Determinism: per-claim reports merge by claim order — the lexicographic
 order of the decision-index path, i.e. depth-first order of the subtree
-roots — regardless of which worker finished first, exactly like the
-portfolio's job-index merge.  The set of distinct fingerprints (and the set
+roots — regardless of which worker finished first
+(:meth:`repro.core.hunt.HuntReport.merge`, the same merge the portfolio's
+jobs go through).  The set of distinct fingerprints (and the set
 of bug kinds) is identical to the serial search's: sleep sets and stateful
 pruning only ever skip states that some execution, somewhere, still visits.
 
@@ -50,306 +55,17 @@ to the serial strategy.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import os
-import queue as queue_module
 import time
-import traceback
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
 from .config import TestingConfig
-from .coverage import CoverageTracker
-from .engine import TestingEngine, TestReport
+from .engine import TestingEngine
 from .fingerprint import merge_visited
-from .portfolio import JobResult, PortfolioJob, PortfolioReport
-from .registry import TestCase, get_scenario, import_scenario_modules
-from .runtime import BugInfo
+from .hunt import ClaimPath, HuntReport, UnitResult, WorkerPool, WorkUnit
+from .registry import TestCase, get_scenario
 from .strategy.registry import strategy_class
-
-#: decision path: ``(num_options, chosen index)`` per choice-tree node
-ClaimPath = Tuple[Tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SubtreeClaim:
-    """One unit of parallel work: the subtree rooted at a decision prefix."""
-
-    path: ClaimPath = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    @property
-    def indices(self) -> Tuple[int, ...]:
-        """The merge key: depth-first order of subtree roots."""
-        return tuple(index for _, index in self.path)
-
-    def to_dict(self) -> dict:
-        return {"path": [[num_options, index] for num_options, index in self.path]}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "SubtreeClaim":
-        return SubtreeClaim(
-            path=tuple((int(pair[0]), int(pair[1])) for pair in payload.get("path", ()))
-        )
-
-
-@dataclass
-class ClaimResult:
-    """What one worker's exploration of one claim produced."""
-
-    claim: SubtreeClaim
-    report: TestReport
-    worker: int
-    #: subtree fully explored within this claim's budget
-    exhausted: bool
-    #: claim abandoned: its prefix hit a state another worker had exhausted
-    covered: bool
-    #: sub-claims the worker exported for stealing (0 when exhausted/covered)
-    split: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim.to_dict(),
-            "report": self.report.to_dict(),
-            "worker": self.worker,
-            "exhausted": self.exhausted,
-            "covered": self.covered,
-            "split": self.split,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ClaimResult":
-        return ClaimResult(
-            claim=SubtreeClaim.from_dict(payload["claim"]),
-            report=TestReport.from_dict(payload["report"]),
-            worker=payload.get("worker", 0),
-            exhausted=payload.get("exhausted", False),
-            covered=payload.get("covered", False),
-            split=payload.get("split", 0),
-        )
-
-
-@dataclass
-class ParallelReport:
-    """Deterministically merged outcome of a parallel exhaustive search."""
-
-    scenario: str
-    strategy: str
-    num_workers: int
-    claim_iterations: int
-    results: List[ClaimResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    #: True when the run stopped before the space was exhausted (total
-    #: iteration budget spent, or --stop-on-bug fired)
-    stopped_early: bool = False
-
-    @property
-    def bug_found(self) -> bool:
-        return any(result.report.bug_found for result in self.results)
-
-    @property
-    def bugs(self) -> List[BugInfo]:
-        """Every bug, in claim (depth-first subtree) order."""
-        return [bug for result in self.results for bug in result.report.bugs]
-
-    @property
-    def winning_result(self) -> Optional[ClaimResult]:
-        """The first claim (in claim order) whose exploration found a bug."""
-        for result in self.results:
-            if result.report.bug_found:
-                return result
-        return None
-
-    @property
-    def first_bug(self) -> Optional[BugInfo]:
-        winner = self.winning_result
-        return winner.report.first_bug if winner is not None else None
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(result.report.iterations_executed for result in self.results)
-
-    @property
-    def state_space_exhausted(self) -> bool:
-        """Whether the whole bounded space was covered.
-
-        A split claim is not itself exhausted — its remainder was re-queued
-        as sub-claims — so completeness is the coordinator's invariant: the
-        run ended with an empty frontier and no early stop, which means every
-        exported sub-claim was eventually exhausted or proven covered.
-        """
-        return bool(self.results) and not self.stopped_early
-
-    @property
-    def merged_coverage(self) -> CoverageTracker:
-        """Coverage aggregated across every claim's report (claim order)."""
-        merged = CoverageTracker()
-        for result in self.results:
-            merged.merge(result.report.coverage)
-        return merged
-
-    def worker_stats(self) -> List[dict]:
-        """Per-worker claim/execution tallies (``run --parallel --json``)."""
-        stats: Dict[int, dict] = {}
-        for result in self.results:
-            entry = stats.setdefault(
-                result.worker,
-                {
-                    "worker": result.worker,
-                    "claims": 0,
-                    "claims_exhausted": 0,
-                    "claims_covered": 0,
-                    "claims_split": 0,
-                    "executions": 0,
-                    "bugs": 0,
-                    "busy_seconds": 0.0,
-                },
-            )
-            entry["claims"] += 1
-            entry["claims_exhausted"] += 1 if result.exhausted else 0
-            entry["claims_covered"] += 1 if result.covered else 0
-            entry["claims_split"] += 1 if result.split else 0
-            entry["executions"] += result.report.iterations_executed
-            entry["bugs"] += len(result.report.bugs)
-            entry["busy_seconds"] += result.report.elapsed_seconds
-        for entry in stats.values():
-            entry["busy_seconds"] = round(entry["busy_seconds"], 6)
-        return [stats[worker] for worker in sorted(stats)]
-
-    def summary(self) -> str:
-        base = (
-            f"parallel[{self.strategy}] on {self.scenario!r}: "
-            f"{len(self.results)} claims, {self.total_iterations} executions "
-            f"in {self.elapsed_seconds:.2f}s ({self.num_workers} workers)"
-        )
-        if self.state_space_exhausted:
-            base = f"{base}, space exhausted"
-        distinct_states = len(self.merged_coverage.fingerprints)
-        if distinct_states:
-            base = f"{base}, {distinct_states} distinct states"
-        bug = self.first_bug
-        if bug is None:
-            return f"{base} — no bug found"
-        winner = self.winning_result
-        return (
-            f"{base} — bug found (claim {list(winner.claim.indices)!r}, "
-            f"worker {winner.worker}): {bug.message}"
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "num_workers": self.num_workers,
-            "claim_iterations": self.claim_iterations,
-            "results": [result.to_dict() for result in self.results],
-            "elapsed_seconds": self.elapsed_seconds,
-            "stopped_early": self.stopped_early,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ParallelReport":
-        return ParallelReport(
-            scenario=payload["scenario"],
-            strategy=payload["strategy"],
-            num_workers=payload.get("num_workers", 1),
-            claim_iterations=payload.get("claim_iterations", 1),
-            results=[ClaimResult.from_dict(entry) for entry in payload.get("results", [])],
-            elapsed_seconds=payload.get("elapsed_seconds", 0.0),
-            stopped_early=payload.get("stopped_early", False),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @staticmethod
-    def from_json(text: str) -> "ParallelReport":
-        return ParallelReport.from_dict(json.loads(text))
-
-    def as_portfolio_report(
-        self, config: TestingConfig, imports: Sequence[str] = ()
-    ) -> PortfolioReport:
-        """Repackage the claim results as a :class:`PortfolioReport`.
-
-        One job per claim, numbered in claim order, so the saved file is
-        replayable with ``python -m repro replay`` (and loadable by every
-        existing report consumer) exactly like a portfolio run's output.
-        """
-        results = []
-        for position, result in enumerate(self.results):
-            job = PortfolioJob(
-                index=position,
-                scenario=self.scenario,
-                strategy=self.strategy,
-                seed=config.seed,
-                config=replace(
-                    config,
-                    strategy=self.strategy,
-                    iterations=max(1, result.report.iterations_requested),
-                ),
-                imports=tuple(imports),
-            )
-            results.append(JobResult(job=job, report=result.report))
-        return PortfolioReport(
-            scenario=self.scenario,
-            results=results,
-            elapsed_seconds=self.elapsed_seconds,
-            num_workers=self.num_workers,
-        )
-
-
-# ---------------------------------------------------------------------------
-# worker entry point (top-level so it pickles under every start method)
-# ---------------------------------------------------------------------------
-def _claim_worker(
-    worker_id: int,
-    scenario: str,
-    config_payload: dict,
-    imports: Sequence[str],
-    task_queue,
-    result_queue,
-) -> None:
-    """Pull claims, exhaust (a budget of) each, push results — until the
-    ``None`` sentinel.  Mirrors the portfolio worker: the scenario is
-    rebuilt *by name* after replaying the parent's ``--import`` list, so the
-    loop is self-contained under the ``spawn`` start method too."""
-    try:
-        import_scenario_modules(imports)
-        testcase = get_scenario(scenario)
-        config = TestingConfig.from_dict(config_payload)
-    except BaseException:
-        result_queue.put({"worker": worker_id, "error": traceback.format_exc()})
-        return
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        try:
-            claim = SubtreeClaim.from_dict(task["claim"])
-            engine = TestingEngine(testcase.build(), config)
-            outcome = engine.explore_claim(claim.path, task["visited"])
-            result_queue.put(
-                {
-                    "worker": worker_id,
-                    "claim": claim.to_dict(),
-                    "report": outcome.report.to_dict(),
-                    "exhausted": outcome.exhausted,
-                    "covered": outcome.covered,
-                    "frontier": [
-                        [[num_options, index] for num_options, index in path]
-                        for path in outcome.frontier
-                    ],
-                    "visited_delta": outcome.visited_delta,
-                    "error": None,
-                }
-            )
-        except BaseException:
-            result_queue.put({"worker": worker_id, "error": traceback.format_exc()})
 
 
 class ParallelExplorer:
@@ -407,156 +123,70 @@ class ParallelExplorer:
         self.stop_on_first_bug = stop_on_first_bug
 
     # ------------------------------------------------------------------
-    def run(self) -> ParallelReport:
+    def run(self) -> HuntReport:
         started = time.perf_counter()
+        report = HuntReport(
+            scenario=self.testcase.name,
+            config=self.config,
+            imports=self.imports,
+            num_workers=self.num_workers,
+        )
         if self.num_workers == 1:
-            report = self._run_serial()
+            self._run_serial(report)
         else:
-            report = self._run_parallel()
+            self._run_parallel(report)
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
-    def _run_serial(self) -> ParallelReport:
-        """One worker: the plain serial engine, wrapped as a root claim."""
-        engine = TestingEngine(self.testcase.build(), self.config)
-        report = engine.run()
-        result = ClaimResult(
-            claim=SubtreeClaim(),
-            report=report,
-            worker=0,
-            exhausted=report.state_space_exhausted,
-            covered=False,
-        )
-        return ParallelReport(
-            scenario=self.testcase.name,
-            strategy=self.strategy,
-            num_workers=1,
-            claim_iterations=self.claim_iterations,
-            results=[result],
-            stopped_early=not report.state_space_exhausted,
-        )
+    def _claim(self, path: ClaimPath, iterations: int) -> WorkUnit:
+        # numbered by HuntReport.merge, once claim order is known
+        return WorkUnit(0, self.strategy, self.config.seed, iterations, claim=path)
 
-    def _run_parallel(self) -> ParallelReport:
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else multiprocessing.get_context()
-        )
-        # Queue.put serializes in a feeder thread, possibly after the
-        # coordinator has merged more gossip into the global visited set —
-        # which is why every task ships its own dict(...) snapshot.
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        per_claim_config = replace(self.config, iterations=self.claim_iterations)
-        workers = [
-            context.Process(
-                target=_claim_worker,
-                args=(
-                    worker_id,
-                    self.testcase.name,
-                    per_claim_config.to_dict(),
-                    self.imports,
-                    task_queue,
-                    result_queue,
-                ),
-                daemon=True,
-            )
-            for worker_id in range(self.num_workers)
-        ]
-        for worker in workers:
-            worker.start()
+    def _run_serial(self, report: HuntReport) -> None:
+        """One worker: the plain serial engine, wrapped as the root claim."""
+        serial = TestingEngine(self.testcase.build(), self.config).run()
+        unit = self._claim((), self.config.iterations)
+        report.merge([UnitResult(unit, serial, exhausted=serial.state_space_exhausted)])
+        report.stopped_early = not serial.state_space_exhausted
 
-        pending: List[SubtreeClaim] = [SubtreeClaim()]
+    def _run_parallel(self, report: HuntReport) -> None:
+        pending: List[ClaimPath] = [()]
         visited: Dict[int, int] = {}
-        results: List[ClaimResult] = []
+        results: List[UnitResult] = []
         budget = self.config.iterations
         executed = 0
-        in_flight = 0
         stopping = False
-        try:
-            while pending or in_flight:
+        with WorkerPool(
+            self.num_workers,
+            self.testcase.name,
+            self.config,
+            self.imports,
+            self.start_method,
+        ) as pool:
+            while pending or pool.outstanding:
                 if stopping or executed >= budget:
-                    if not in_flight:
+                    if not pool.outstanding:
                         break
                 else:
                     # Keep at most one claim outstanding per worker: each
                     # dispatch then carries the freshest visited snapshot,
                     # which is what lets workers skip each other's subtrees.
-                    while pending and in_flight < self.num_workers:
-                        claim = pending.pop()  # LIFO: deepest claims first
-                        task_queue.put({"claim": claim.to_dict(), "visited": dict(visited)})
-                        in_flight += 1
-                if not in_flight:
+                    while pending and pool.outstanding < self.num_workers:
+                        # LIFO: deepest claims first
+                        pool.submit(self._claim(pending.pop(), self.claim_iterations), visited)
+                if not pool.outstanding:
                     continue
-                message = self._next_result(result_queue, workers)
-                in_flight -= 1
-                if message.get("error"):
-                    raise RuntimeError(
-                        f"parallel worker {message.get('worker')} failed:\n"
-                        f"{message['error']}"
-                    )
-                merge_visited(visited, message["visited_delta"])
-                frontier = [
-                    SubtreeClaim(tuple((pair[0], pair[1]) for pair in path))
-                    for path in message["frontier"]
-                ]
+                outcome = pool.next_outcome()
+                merge_visited(visited, outcome.visited_delta)
                 # Re-queue in reverse so the LIFO pop dispatches the
                 # depth-first-first claim first.
-                pending.extend(reversed(frontier))
-                result = ClaimResult(
-                    claim=SubtreeClaim.from_dict(message["claim"]),
-                    report=TestReport.from_dict(message["report"]),
-                    worker=message["worker"],
-                    exhausted=message["exhausted"],
-                    covered=message["covered"],
-                    split=len(frontier),
-                )
-                results.append(result)
-                executed += result.report.iterations_executed
-                if self.stop_on_first_bug and result.report.bug_found:
+                pending.extend(reversed(outcome.frontier))
+                results.append(outcome.result)
+                executed += outcome.result.report.iterations_executed
+                if self.stop_on_first_bug and outcome.result.report.bug_found:
                     stopping = True
-        finally:
-            for _ in workers:
-                task_queue.put(None)
-            for worker in workers:
-                worker.join(timeout=10)
-            for worker in workers:
-                if worker.is_alive():  # pragma: no cover - hang safety net
-                    worker.terminate()
-                    worker.join(timeout=5)
-            for shared_queue in (task_queue, result_queue):
-                shared_queue.close()
-                shared_queue.cancel_join_thread()
-
-        results.sort(key=lambda result: result.claim.indices)
-        return ParallelReport(
-            scenario=self.testcase.name,
-            strategy=self.strategy,
-            num_workers=self.num_workers,
-            claim_iterations=self.claim_iterations,
-            results=results,
-            stopped_early=bool(pending) or stopping,
-        )
-
-    @staticmethod
-    def _next_result(result_queue, workers) -> dict:
-        """Blocking result read that notices dead workers instead of hanging.
-
-        A worker that is killed (OOM, signal) between pulling a task and
-        pushing its result would otherwise leave the coordinator blocked
-        forever with a claim marked in flight.
-        """
-        while True:
-            try:
-                return result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [worker for worker in workers if not worker.is_alive()]
-                if dead:
-                    codes = [worker.exitcode for worker in dead]
-                    raise RuntimeError(
-                        f"{len(dead)} parallel worker(s) died without reporting "
-                        f"(exit codes {codes})"
-                    ) from None
+        report.merge(results)
+        report.stopped_early = bool(pending) or stopping
 
 
 def explore_scenario(
@@ -565,17 +195,11 @@ def explore_scenario(
     num_workers: Optional[int] = None,
     config: Optional[TestingConfig] = None,
     **explorer_kwargs,
-) -> ParallelReport:
+) -> HuntReport:
     """Convenience wrapper: build a :class:`ParallelExplorer`, run it."""
     return ParallelExplorer(
         name, strategy=strategy, num_workers=num_workers, config=config, **explorer_kwargs
     ).run()
 
 
-__all__ = [
-    "ClaimResult",
-    "ParallelExplorer",
-    "ParallelReport",
-    "SubtreeClaim",
-    "explore_scenario",
-]
+__all__ = ["ParallelExplorer", "explore_scenario"]

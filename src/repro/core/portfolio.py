@@ -1,228 +1,35 @@
-"""Parallel portfolio testing engine.
+"""Portfolio testing: strategies × seed shards over one scenario.
 
 The paper's evaluation runs a *portfolio* of schedulers over each harness:
 different strategies excel at different bugs, and independent seed shards
-multiply throughput.  :class:`Portfolio` fans one registered scenario out
-across ``strategies × seed shards`` jobs, executes them serially or on a
-``multiprocessing`` pool, and merges the per-job :class:`TestReport`s into a
-deterministic :class:`PortfolioReport`:
+multiply throughput.  :class:`Portfolio` is the simplest policy over the
+shared hunt model (:mod:`repro.core.hunt`): it enumerates one
+:class:`~repro.core.hunt.WorkUnit` per (strategy, seed shard), executes them
+in-process or on a :class:`~repro.core.hunt.WorkerPool` — no stealing, no
+shared state — and merges the per-unit reports into a deterministic
+:class:`~repro.core.hunt.HuntReport`:
 
 * job enumeration order is fixed (strategy order, then shard index), and
   results are merged in that order regardless of which worker finished first,
   so two runs with the same seeds produce the same merged report (modulo wall
-  times);
+  times and worker ids);
 * the "winning" bug is the one of the lowest-numbered job that found any, not
   the one that happened to cross the finish line first;
 * reports serialize to JSON (traces included), so a portfolio result written
   by ``python -m repro run`` replays later via ``python -m repro replay``.
-
-Workers rebuild the scenario *by name* from :mod:`repro.core.registry`, which
-is what makes cross-process execution (and cross-process replay) possible
-without pickling closures.  Scenarios registered by user modules (the CLI's
-``--import``) are included: every job carries its import specs, and the
-worker re-imports them before the registry lookup, so portfolios work under
-the ``spawn`` start method (the default on macOS and Windows, where a fresh
-worker interpreter knows nothing about the parent's imports) exactly as they
-do under ``fork``.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .config import TestingConfig
-from .coverage import CoverageTracker
 from .engine import TestingEngine, TestReport
-from .registry import TestCase, get_scenario, import_scenario_modules
+from .hunt import HuntReport, UnitResult, WorkerPool, WorkUnit, execute_unit
+from .registry import TestCase, get_scenario
 from .runtime import BugInfo
-from .shrink import ShrinkResult
 from .trace import ScheduleTrace
-
-
-@dataclass(frozen=True)
-class PortfolioJob:
-    """One (scenario, strategy, seed shard) work unit.
-
-    ``imports`` lists the modules/files whose import registered the scenario
-    (empty for builtins); workers replay them so the job is self-contained
-    under every multiprocessing start method.
-    """
-
-    index: int
-    scenario: str
-    strategy: str
-    seed: int
-    config: TestingConfig
-    imports: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "imports": list(self.imports),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "PortfolioJob":
-        return PortfolioJob(
-            index=payload["index"],
-            scenario=payload["scenario"],
-            strategy=payload["strategy"],
-            seed=payload["seed"],
-            config=TestingConfig.from_dict(payload["config"]),
-            imports=tuple(payload.get("imports", ())),
-        )
-
-
-@dataclass
-class JobResult:
-    """The report one job produced."""
-
-    job: PortfolioJob
-    report: TestReport
-
-    def to_dict(self) -> dict:
-        return {"job": self.job.to_dict(), "report": self.report.to_dict()}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "JobResult":
-        return JobResult(
-            job=PortfolioJob.from_dict(payload["job"]),
-            report=TestReport.from_dict(payload["report"]),
-        )
-
-
-@dataclass
-class PortfolioReport:
-    """Deterministically merged outcome of a portfolio run."""
-
-    scenario: str
-    results: List[JobResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    num_workers: int = 1
-
-    @property
-    def bug_found(self) -> bool:
-        return any(result.report.bug_found for result in self.results)
-
-    @property
-    def winning_result(self) -> Optional[JobResult]:
-        """The lowest-numbered job that found a bug (deterministic)."""
-        for result in self.results:
-            if result.report.bug_found:
-                return result
-        return None
-
-    @property
-    def first_bug(self) -> Optional[BugInfo]:
-        winner = self.winning_result
-        return winner.report.first_bug if winner is not None else None
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(result.report.iterations_executed for result in self.results)
-
-    @property
-    def merged_coverage(self) -> CoverageTracker:
-        """Coverage aggregated across every worker's report (job-index order)."""
-        merged = CoverageTracker()
-        for result in self.results:
-            merged.merge(result.report.coverage)
-        return merged
-
-    def summary(self) -> str:
-        strategies = sorted({result.job.strategy for result in self.results})
-        base = (
-            f"portfolio[{', '.join(strategies)}] on {self.scenario!r}: "
-            f"{len(self.results)} jobs, {self.total_iterations} executions "
-            f"in {self.elapsed_seconds:.2f}s ({self.num_workers} workers)"
-        )
-        distinct_states = len(self.merged_coverage.fingerprints)
-        if distinct_states:
-            base = f"{base}, {distinct_states} distinct states"
-        winner = self.winning_result
-        if winner is None:
-            return f"{base} — no bug found"
-        bug = winner.report.first_bug
-        shrink_note = f" [{bug.shrink.summary()}]" if bug.shrink is not None else ""
-        return (
-            f"{base} — bug found by job #{winner.job.index} "
-            f"({winner.job.strategy}, seed {winner.job.seed}): "
-            f"{bug.message}{shrink_note}"
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "results": [result.to_dict() for result in self.results],
-            "elapsed_seconds": self.elapsed_seconds,
-            "num_workers": self.num_workers,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "PortfolioReport":
-        return PortfolioReport(
-            scenario=payload["scenario"],
-            results=[JobResult.from_dict(entry) for entry in payload.get("results", [])],
-            elapsed_seconds=payload.get("elapsed_seconds", 0.0),
-            num_workers=payload.get("num_workers", 1),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @staticmethod
-    def from_json(text: str) -> "PortfolioReport":
-        return PortfolioReport.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
-    @staticmethod
-    def load(path: str) -> "PortfolioReport":
-        with open(path, "r", encoding="utf-8") as handle:
-            return PortfolioReport.from_json(handle.read())
-
-
-# ---------------------------------------------------------------------------
-# worker entry point (top-level so it pickles under every start method)
-# ---------------------------------------------------------------------------
-def _execute_job(payload: dict) -> dict:
-    """Run one job in a (possibly separate) process; returns a JSON-safe dict.
-
-    The result is tagged with the job index because the pool streams results
-    back in completion order (``imap_unordered``), not submission order.
-    """
-    job = PortfolioJob.from_dict(payload)
-    # Replay the parent's --import registrations first: a spawn-started
-    # worker is a fresh interpreter that only knows the builtin scenarios,
-    # so get_scenario() on a user scenario would otherwise raise KeyError.
-    import_scenario_modules(job.imports)
-    testcase = get_scenario(job.scenario)
-    report = TestingEngine(testcase.build(), job.config).run()
-    return {"index": job.index, "report": report.to_dict()}
-
-
-def merge_results(jobs: Sequence[PortfolioJob], reports: Sequence[TestReport]) -> List[JobResult]:
-    """Pair jobs with their reports and order them by job index.
-
-    The merge is a pure function of its inputs: however the (job, report)
-    pairs arrive — serial loop, pool workers racing, results shuffled on the
-    way back — the output list is sorted by the deterministic job index.
-    """
-    if len(jobs) != len(reports):
-        raise ValueError(f"got {len(reports)} reports for {len(jobs)} jobs")
-    paired = [JobResult(job=job, report=report) for job, report in zip(jobs, reports)]
-    return sorted(paired, key=lambda result: result.job.index)
 
 
 class Portfolio:
@@ -240,15 +47,15 @@ class Portfolio:
             ``strategy``/``seed``/``iterations``.  Defaults to the scenario's
             :meth:`~repro.core.registry.TestCase.default_config`.
         imports: module names / ``.py`` paths whose import registers the
-            scenario (for user scenarios loaded via ``--import``); carried in
-            every job payload and re-imported by workers, which is what makes
-            the portfolio work under the ``spawn`` start method.
+            scenario (for user scenarios loaded via ``--import``); replayed
+            by each worker at start-up, which is what makes the portfolio
+            work under the ``spawn`` start method.
         start_method: multiprocessing start method for the worker pool
             (``"fork"``, ``"spawn"``, ``"forkserver"``); None uses the
             platform default.
         shrink: when True, the winning bug trace (lowest-numbered job that
             found one) is minimized with :class:`~repro.core.shrink.Shrinker`
-            before the reports are merged, so the saved report already
+            before the report is returned, so the saved report already
             carries ``shrunk_trace`` and its shrink statistics.
         stop_on_first_bug: cancel the jobs still running (or not yet
             started) as soon as any job completes with a bug.  Cancelled
@@ -291,103 +98,72 @@ class Portfolio:
         self.stop_on_first_bug = stop_on_first_bug
 
     # ------------------------------------------------------------------
-    def jobs(self) -> List[PortfolioJob]:
+    def jobs(self) -> List[WorkUnit]:
         """Deterministic job enumeration: strategy order, then shard index."""
         # A budget smaller than the shard count drops the surplus shards:
         # every job must run at least one iteration, and the shard budgets
         # must sum exactly to the requested total.
         num_shards = min(self.num_shards, self.iterations)
         base, remainder = divmod(self.iterations, num_shards)
-        jobs: List[PortfolioJob] = []
+        jobs: List[WorkUnit] = []
         for strategy in self.strategies:
             for shard in range(num_shards):
                 iterations = base + (1 if shard < remainder else 0)
-                jobs.append(
-                    PortfolioJob(
-                        index=len(jobs),
-                        scenario=self.testcase.name,
-                        strategy=strategy,
-                        seed=self.seed + shard,
-                        config=replace(
-                            self.config,
-                            strategy=strategy,
-                            seed=self.seed + shard,
-                            iterations=iterations,
-                        ),
-                        imports=self.imports,
-                    )
-                )
+                jobs.append(WorkUnit(len(jobs), strategy, self.seed + shard, iterations))
         return jobs
 
-    def run(self) -> PortfolioReport:
+    def run(self) -> HuntReport:
         """Execute every job and return the deterministically merged report."""
         jobs = self.jobs()
         started = time.perf_counter()
-        payloads = [job.to_dict() for job in jobs]
-        completed: Dict[int, dict] = {}
+        completed: List[UnitResult] = []
+
+        def record(result: UnitResult) -> bool:
+            completed.append(result)
+            return self.stop_on_first_bug and result.report.bug_found
+
         if self.num_workers == 1 or len(jobs) == 1:
-            for payload in payloads:
-                result = _execute_job(payload)
-                completed[result["index"]] = result["report"]
-                if self.stop_on_first_bug and result["report"].get("bugs"):
+            for job in jobs:
+                if record(execute_unit(self.testcase, self.config, job).result):
                     break
         else:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method is not None
-                else multiprocessing
-            )
-            with context.Pool(processes=min(self.num_workers, len(jobs))) as pool:
-                # Stream results in completion order so one bug-finding job
-                # can cancel its still-running siblings; leaving the with
-                # block after the break terminates the pool's outstanding
-                # workers instead of waiting for them.
-                for result in pool.imap_unordered(_execute_job, payloads):
-                    completed[result["index"]] = result["report"]
-                    if self.stop_on_first_bug and result["report"].get("bugs"):
+            # Results stream back in completion order so one bug-finding job
+            # can cancel its siblings: leaving the block with jobs still
+            # outstanding terminates the workers instead of waiting for them.
+            with WorkerPool(
+                min(self.num_workers, len(jobs)),
+                self.testcase.name,
+                self.config,
+                self.imports,
+                self.start_method,
+            ) as pool:
+                for job in jobs:
+                    pool.submit(job)
+                while pool.outstanding:
+                    if record(pool.next_outcome().result):
                         break
-        reports = [
-            TestReport.from_dict(completed[job.index])
-            if job.index in completed
-            else self._cancelled_report(job)
-            for job in jobs
-        ]
-        if self.shrink:
-            self._shrink_winning_bug(jobs, reports)
-        return PortfolioReport(
+        ran = {result.unit.index for result in completed}
+        report = HuntReport(
             scenario=self.testcase.name,
-            results=merge_results(jobs, reports),
-            elapsed_seconds=time.perf_counter() - started,
+            config=self.config,
+            imports=self.imports,
             num_workers=self.num_workers,
+            stopped_early=len(ran) < len(jobs),
         )
+        report.merge(
+            completed + [self._cancelled(job) for job in jobs if job.index not in ran]
+        )
+        if self.shrink:
+            report.shrink_winning_bug()
+        report.elapsed_seconds = time.perf_counter() - started
+        return report
 
     @staticmethod
-    def _cancelled_report(job: PortfolioJob) -> TestReport:
+    def _cancelled(job: WorkUnit) -> UnitResult:
         """Placeholder for a job cancelled by ``stop_on_first_bug``: zero
         executions, so it can never displace a completed job as the winner
         and the merged iteration totals count only real work."""
-        return TestReport(
-            strategy=job.strategy,
-            iterations_requested=job.config.iterations,
-            iterations_executed=0,
-        )
-
-    def _shrink_winning_bug(
-        self, jobs: Sequence[PortfolioJob], reports: Sequence[TestReport]
-    ) -> Optional[ShrinkResult]:
-        """Minimize the winning bug trace in place, before the merge.
-
-        The winner is the same bug :attr:`PortfolioReport.winning_result`
-        will select — the first bug of the lowest-numbered job that found one
-        — so the shrink effort goes exactly to the trace users will replay.
-        Runs in the parent process: one bug, one deterministic shrink.
-        """
-        for job, report in sorted(zip(jobs, reports), key=lambda pair: pair[0].index):
-            bug = report.first_bug
-            if bug is not None and bug.trace is not None:
-                engine = TestingEngine(self.testcase.build(), job.config)
-                return engine.shrink_bug(bug)
-        return None
+        return UnitResult(job, TestReport(job.strategy, job.iterations, 0))
 
 
 # ---------------------------------------------------------------------------

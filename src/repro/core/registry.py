@@ -176,11 +176,11 @@ def import_scenario_modules(specs: Optional[Sequence[str]]) -> None:
 
     Accepts dotted module names or paths to ``.py`` files (e.g.
     ``examples/quickstart.py``).  Used by the CLI's ``--import`` option and
-    re-run inside portfolio worker processes: under the ``spawn`` start
-    method a fresh interpreter knows nothing about the parent's imports, so
-    every job carries its import specs and replays them before looking up
-    its scenario by name.  Already-loaded modules are skipped (registration
-    is global), which makes re-importing idempotent in forked and in-process
+    re-run inside pool worker processes: under the ``spawn`` start method a
+    fresh interpreter knows nothing about the parent's imports, so every
+    worker is handed the hunt's import specs and replays them before looking
+    up its scenario by name.  Already-loaded modules are skipped
+    (registration is global), which makes re-importing idempotent in forked
     workers too.
     """
     for spec in specs or []:

@@ -12,13 +12,10 @@ sibling subtrees: as long as every subsequently chosen dispatch provably
 commutes with *m*'s, scheduling *m* later can only reach states the explored
 subtree already covered, so branches that would schedule it are pruned.
 
-Table versions: version-2 tables split each footprint into *writes* (machines
-the dispatch can send to) and *reads* (machines whose inboxes it only
-queries), so two dispatches that merely read the same machine commute.
-Version-1 tables carry merged ``sends``/``queries`` item lists; they are
-normalized on resolution to ``writes = sends + queries, reads = ()``, which
-reproduces the historical all-overlaps-conflict behavior exactly.  Any other
-version is ignored, falling back to plain DFS.
+Tables split each footprint into *writes* (machines the dispatch can send
+to) and *reads* (machines whose inboxes it only queries), so two dispatches
+that merely read the same machine commute.  A table of any other version is
+ignored, falling back to plain DFS.
 
 Soundness discipline — everything degrades to *dependent*:
 
@@ -53,10 +50,10 @@ from ..ids import MachineId
 from .dfs_strategy import DFSStrategy
 from .registry import register_strategy
 
-#: table format versions this consumer understands (see
+#: the table format version this consumer understands (see
 #: ``repro.analysis.independence.TABLE_VERSION``); any other version is
 #: ignored, falling back to plain DFS.
-_SUPPORTED_TABLE_VERSIONS = frozenset({1, 2})
+_SUPPORTED_TABLE_VERSION = 2
 
 
 def _type_key(cls: type) -> str:
@@ -92,7 +89,7 @@ class DporLiteStrategy(DFSStrategy):
         table: Optional[Mapping[str, dict]] = None
         if (
             isinstance(independence, dict)
-            and independence.get("version") in _SUPPORTED_TABLE_VERSIONS
+            and independence.get("version") == _SUPPORTED_TABLE_VERSION
         ):
             table = independence.get("machines", {})
         self._table = table
@@ -202,12 +199,6 @@ class DporLiteStrategy(DFSStrategy):
         self, machine, mid: MachineId, footprint: dict, event
     ) -> Optional[_Touch]:
         machines_by_value = self._runtime._machines_by_value
-        if "writes" in footprint or "reads" in footprint:
-            write_items = footprint.get("writes", ())
-            read_items = footprint.get("reads", ())
-        else:  # version-1 footprint: every named machine counts as written
-            write_items = (*footprint.get("sends", ()), *footprint.get("queries", ()))
-            read_items = ()
         writes = {mid.value}  # a dispatch always mutates its own machine
         reads: Set[int] = set()
         classes: Set[str] = set()
@@ -246,9 +237,9 @@ class DporLiteStrategy(DFSStrategy):
                     return False
             return True
 
-        if not _resolve_items(write_items, writes):
+        if not _resolve_items(footprint.get("writes", ()), writes):
             return None
-        if not _resolve_items(read_items, reads):
+        if not _resolve_items(footprint.get("reads", ()), reads):
             return None
         inst_classes = set()
         for value in writes | reads:

@@ -6,17 +6,14 @@ extractor cannot prove harmless must surface as an ``{"opaque": true}`` entry
 conflicting with everything), while the constructs the vNext harness actually
 uses stay concrete so pruning has something to work with.
 
-Version 2 splits footprints into ``writes``/``reads`` and adds
-``{"event-field": name}`` items; version 1 (the PR 7 format) stays buildable
-with its historical — strictly coarser — external discipline, which the
-benchmark gate compares against.
+Footprints are split into ``writes``/``reads`` and carry
+``{"event-field": name}`` items.
 """
 
 import json
 import random
 
 from repro.analysis import (
-    LEGACY_TABLE_VERSION,
     TABLE_VERSION,
     clear_model_cache,
     independence_for_classes,
@@ -26,16 +23,9 @@ from repro.core import Event, Machine, State, on_event
 from repro.core.registry import get_scenario, load_builtin_scenarios
 
 
-def _vnext_table(version=TABLE_VERSION):
+def _vnext_table():
     load_builtin_scenarios()
-    cases = [get_scenario("vnext/extent-node-liveness")]
-    if version == TABLE_VERSION:
-        return independence_for_scenarios(cases)
-    from repro.analysis import build_independence_table, build_program
-    from repro.analysis.runner import _discover
-
-    classes, _produced = _discover(cases)
-    return build_independence_table(build_program(classes), version=version)
+    return independence_for_scenarios([get_scenario("vnext/extent-node-liveness")])
 
 
 def _events(table, machine_key):
@@ -75,8 +65,8 @@ def test_vnext_footprints_are_concrete_where_it_matters():
 
 
 def test_v2_event_field_targets_resolve_through_the_payload():
-    # the copy-request handler replies to event.requester: a v1 table cannot
-    # name that machine, v2 carries the field and resolves it at choice time
+    # the copy-request handler replies to event.requester: the table carries
+    # the field and the strategy resolves it at choice time
     node = _events(
         _vnext_table(), "repro.vnext.harness.machines.ExtentNodeMachine"
     )
@@ -86,21 +76,6 @@ def test_v2_event_field_targets_resolve_through_the_payload():
     tick = node["repro.core.events.TimerTick"]
     assert tick["reads"] == [{"attr": "extent_manager"}]
     assert tick["writes"] == [{"attr": "extent_manager"}]
-
-
-def test_v1_table_keeps_the_legacy_shape_and_discipline():
-    table = _vnext_table(version=LEGACY_TABLE_VERSION)
-    assert table["version"] == LEGACY_TABLE_VERSION
-    node = _events(table, "repro.vnext.harness.machines.ExtentNodeMachine")
-    # under the v1 external discipline the node's handlers (which call into
-    # the wrapped ExtentNode component) all degrade to opaque...
-    assert node["repro.vnext.harness.events.CopyRequestEvent"] == {"opaque": True}
-    # ...and concrete v1 footprints use the merged sends/queries keys
-    timer = _events(table, "repro.core.timer.TimerMachine")
-    loop = timer["repro.core.timer._TimerLoop"]
-    assert loop["sends"] == ["self", {"attr": "target"}]
-    assert loop["queries"] == [{"attr": "target"}]
-    assert "writes" not in loop and "reads" not in loop
 
 
 def test_vnext_wrapped_component_dispatches_stay_opaque():
@@ -161,8 +136,8 @@ class HelperFieldSender(Machine):
         self.send(event.requester, Poke())
 
 
-def _entry_for(cls, version=TABLE_VERSION):
-    table = independence_for_classes([cls], version=version)
+def _entry_for(cls):
+    table = independence_for_classes([cls])
     key = f"{cls.__module__}.{cls.__qualname__}"
     return table["machines"][key]["events"][f"{Poke.__module__}.Poke"]
 
@@ -185,22 +160,8 @@ def test_event_field_in_helper_method_degrades_to_opaque():
     assert _entry_for(HelperFieldSender) == {"opaque": True}
 
 
-def test_unsupported_table_version_is_rejected():
-    import pytest
-
-    with pytest.raises(ValueError):
-        independence_for_classes([CleanSelfSender], version=3)
-
-
 def test_table_is_json_safe_and_byte_stable():
     first = json.dumps(_vnext_table(), sort_keys=True)
     clear_model_cache()
     second = json.dumps(_vnext_table(), sort_keys=True)
-    assert first == second
-
-
-def test_v1_table_is_byte_stable_too():
-    first = json.dumps(_vnext_table(version=LEGACY_TABLE_VERSION), sort_keys=True)
-    clear_model_cache()
-    second = json.dumps(_vnext_table(version=LEGACY_TABLE_VERSION), sort_keys=True)
     assert first == second

@@ -94,17 +94,18 @@ def test_without_a_table_dpor_lite_is_exactly_dfs():
 # table plumbing
 # ---------------------------------------------------------------------------
 def test_unsupported_table_version_disables_pruning():
-    strategy = DporLiteStrategy(independence={"version": 99, "machines": {}})
-    assert strategy._table is None
+    for version in (1, 99):
+        strategy = DporLiteStrategy(independence={"version": version, "machines": {}})
+        assert strategy._table is None
     strategy = DporLiteStrategy(independence=None)
     assert strategy._table is None
-    strategy = DporLiteStrategy(independence={"version": 1, "machines": {}})
+    strategy = DporLiteStrategy(independence={"version": 2, "machines": {}})
     assert strategy._table == {}
 
 
 def test_from_config_reads_the_independence_field():
     config = TestingConfig(
-        strategy="dpor-lite", independence={"version": 1, "machines": {}}
+        strategy="dpor-lite", independence={"version": 2, "machines": {}}
     )
     strategy = create_strategy(config)
     assert isinstance(strategy, DporLiteStrategy)

@@ -13,17 +13,21 @@ The load-bearing properties:
 """
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.core import (
+    HuntReport,
     ParallelExplorer,
-    ParallelReport,
-    SubtreeClaim,
+    Portfolio,
+    TestCase,
     TestingConfig,
     TestingEngine,
+    WorkUnit,
     explore_scenario,
     get_scenario,
     load_builtin_scenarios,
@@ -66,14 +70,20 @@ def _schedule_digests(report) -> list:
 # ---------------------------------------------------------------------------
 # claim mechanics (no processes)
 # ---------------------------------------------------------------------------
+def _claim(*path) -> WorkUnit:
+    return WorkUnit(0, "dfs", 0, 1, claim=tuple(path))
+
+
 def test_claim_round_trip_and_ordering():
-    claim = SubtreeClaim(((3, 1), (2, 0), (4, 2)))
-    assert SubtreeClaim.from_dict(claim.to_dict()) == claim
-    assert claim.indices == (1, 0, 2)
-    assert claim.depth == 3
+    claim = _claim((3, 1), (2, 0), (4, 2))
+    assert WorkUnit.from_dict(claim.to_dict()) == claim
+    assert claim.claim_indices == (1, 0, 2)
     # parent sorts before its own sub-claims, siblings sort left to right
-    assert SubtreeClaim(((3, 1),)).indices < claim.indices
-    assert claim.indices < SubtreeClaim(((3, 2),)).indices
+    assert _claim((3, 1)).claim_indices < claim.claim_indices
+    assert claim.claim_indices < _claim((3, 2)).claim_indices
+    # the root claim is a claim, a job is not
+    assert WorkUnit.from_dict(_claim().to_dict()).claim == ()
+    assert WorkUnit.from_dict(WorkUnit(0, "dfs", 0, 1).to_dict()).claim is None
 
 
 def test_set_claim_rejects_started_search_and_bad_paths():
@@ -282,21 +292,37 @@ def test_parallel_report_round_trip_and_stats():
     report = ParallelExplorer(
         testcase, strategy="dpor-lite", num_workers=2, config=config, claim_iterations=9
     ).run()
-    clone = ParallelReport.from_json(report.to_json())
-    assert clone.scenario == report.scenario
+    clone = HuntReport.from_json(report.to_json())
+    assert clone.to_dict() == report.to_dict()
     assert clone.state_space_exhausted == report.state_space_exhausted
     assert clone.total_iterations == report.total_iterations
     assert clone.merged_coverage.fingerprint_digest() == report.merged_coverage.fingerprint_digest()
-    assert [r.claim for r in clone.results] == [r.claim for r in report.results]
     stats = report.worker_stats()
     assert sum(entry["claims"] for entry in stats) == len(report.results)
     assert sum(entry["executions"] for entry in stats) == report.total_iterations
 
-    # the portfolio repackaging is replayable: job per claim, claim order
-    portfolio = report.as_portfolio_report(config)
-    assert portfolio.bug_found == report.bug_found
-    assert [result.job.index for result in portfolio.results] == list(range(len(report.results)))
-    assert portfolio.merged_coverage.fingerprints == report.merged_coverage.fingerprints
+    # claims are numbered in claim (depth-first) order, each with the
+    # per-claim budget; the shared config lives on the report, once
+    units = [result.unit for result in report.results]
+    assert [unit.index for unit in units] == list(range(len(units)))
+    assert [unit.claim_indices for unit in units] == sorted(u.claim_indices for u in units)
+    assert {unit.iterations for unit in units} == {9}
+    assert report.config.iterations == config.iterations
+
+
+def test_report_mixing_jobs_and_claims_round_trips():
+    """One model: a report may hold claim-less and claim-carrying units."""
+    jobs = Portfolio(SCENARIO, strategies=["random"], iterations=4, num_shards=2).run()
+    claims = ParallelExplorer(
+        _testcase(), strategy="dfs", num_workers=1, config=_config(max_steps=3)
+    ).run()
+    mixed = HuntReport(
+        SCENARIO, claims.config, imports=("a.py",), results=jobs.results + claims.results
+    )
+    assert mixed.has_claims and not jobs.has_claims
+    clone = HuntReport.from_json(mixed.to_json())
+    assert clone.to_dict() == mixed.to_dict()
+    assert [result.unit for result in clone.results] == [result.unit for result in mixed.results]
 
 
 def test_parallel_rejects_non_exhaustive_strategies():
@@ -311,3 +337,56 @@ def test_explore_scenario_convenience():
         SCENARIO, strategy="dfs", num_workers=1, config=_config()
     )
     assert report.state_space_exhausted
+
+
+# ---------------------------------------------------------------------------
+# the worker pool both front-ends share: a dead worker is an error, not a hang
+# ---------------------------------------------------------------------------
+_SELF_KILL_MODULE = """\
+import multiprocessing, os, signal
+from repro import scenario
+
+@scenario("fault/self-kill")
+def self_kill():
+    def entry(runtime):
+        if multiprocessing.parent_process() is not None:  # never the test process
+            os.kill(os.getpid(), signal.SIGKILL)
+    return entry
+"""
+
+
+@pytest.mark.parametrize("front_end", ["portfolio", "parallel"])
+def test_worker_killed_mid_unit_raises_instead_of_hanging(front_end, tmp_path):
+    """Fault injection under the configured start method: the scenario's
+    entry SIGKILLs the worker executing it.  The scenario is registered only
+    in the workers (through ``imports``), never in this process."""
+    module = tmp_path / "self_kill_scenario.py"
+    module.write_text(_SELF_KILL_MODULE)
+
+    def unreachable():
+        raise AssertionError("the fault scenario must only run in workers")
+
+    testcase = TestCase(name="fault/self-kill", build=unreachable)
+    if front_end == "portfolio":
+        hunt = Portfolio(
+            testcase, strategies=["random"], iterations=4, num_shards=2,
+            num_workers=2, imports=(str(module),),
+        )
+    else:
+        hunt = ParallelExplorer(
+            testcase, strategy="dfs", num_workers=2, imports=(str(module),)
+        )
+
+    def wedged(signum, frame):
+        raise TimeoutError("run() still blocked 30s after its worker was killed")
+
+    previous = signal.signal(signal.SIGALRM, wedged)
+    signal.alarm(30)  # hard stop: a regression fails here rather than wedging CI
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match=r"died without reporting \(exit codes .*-9"):
+            hunt.run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 15

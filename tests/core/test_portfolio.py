@@ -5,24 +5,24 @@ import random
 import pytest
 
 from repro.core import (
+    HuntReport,
     Portfolio,
-    PortfolioReport,
     TestReport,
     TestingConfig,
-    merge_results,
+    UnitResult,
     replay_trace,
     run_scenario,
 )
 
 
 def _timing_free(payload):
-    """Strip run metadata (wall clock, pool size) so that two runs of the
-    same seeds compare equal on results alone."""
+    """Strip run metadata (wall clock, pool size, which worker ran a job) so
+    that two runs of the same seeds compare equal on results alone."""
     if isinstance(payload, dict):
         return {
             key: _timing_free(value)
             for key, value in payload.items()
-            if key not in ("elapsed_seconds", "time_to_first_bug", "num_workers")
+            if key not in ("elapsed_seconds", "time_to_first_bug", "num_workers", "worker")
         }
     if isinstance(payload, list):
         return [_timing_free(entry) for entry in payload]
@@ -64,7 +64,7 @@ def test_portfolio_job_enumeration_is_deterministic():
     assert [job.strategy for job in jobs] == ["random"] * 4 + ["pct"] * 4
     assert [job.seed for job in jobs] == [3, 4, 5, 6] * 2
     # The shard budgets sum to the requested total for each strategy.
-    assert sum(job.config.iterations for job in jobs if job.strategy == "random") == 100
+    assert sum(job.iterations for job in jobs if job.strategy == "random") == 100
     assert portfolio.jobs() == jobs
 
 
@@ -85,29 +85,38 @@ def test_portfolio_merge_is_deterministic_for_fixed_seeds():
     # Same seeds => identical merged results, no matter how many workers ran
     # them or in which order they finished (only wall times may differ).
     assert _timing_free(serial.to_dict()) == _timing_free(parallel.to_dict())
-    assert serial.winning_result.job.index == parallel.winning_result.job.index
+    assert serial.winning_result.unit.index == parallel.winning_result.unit.index
 
 
-def test_merge_results_orders_by_job_index_regardless_of_arrival():
+def _empty_results(portfolio):
+    return [
+        UnitResult(job, TestReport(job.strategy, job.iterations))
+        for job in portfolio.jobs()
+    ]
+
+
+def test_report_merge_orders_by_job_index_regardless_of_arrival():
     portfolio = Portfolio(
         "examplesys/safety-bug", strategies=["random"], iterations=20, num_shards=3, seed=1
     )
-    jobs = portfolio.jobs()
-    reports = [
-        TestReport(strategy=job.strategy, iterations_requested=job.config.iterations)
-        for job in jobs
-    ]
-    shuffled = list(zip(jobs, reports))
+    shuffled = _empty_results(portfolio)
     random.Random(0).shuffle(shuffled)
-    merged = merge_results([job for job, _ in shuffled], [rep for _, rep in shuffled])
-    assert [result.job.index for result in merged] == [0, 1, 2]
+    report = HuntReport("examplesys/safety-bug", portfolio.config)
+    report.merge(shuffled)
+    assert [result.unit.index for result in report.results] == [0, 1, 2]
 
 
-def test_merge_results_length_mismatch_raises():
-    portfolio = Portfolio("examplesys/safety-bug", strategies=["random"], iterations=10)
-    jobs = portfolio.jobs()
-    with pytest.raises(ValueError, match="reports"):
-        merge_results(jobs, [])
+@pytest.mark.parametrize("lost", [0, 1])
+def test_report_merge_rejects_missing_and_duplicated_jobs(lost):
+    portfolio = Portfolio(
+        "examplesys/safety-bug", strategies=["random"], iterations=20, num_shards=3, seed=1
+    )
+    results = _empty_results(portfolio)
+    report = HuntReport("examplesys/safety-bug", portfolio.config)
+    with pytest.raises(ValueError, match="one result per job"):
+        report.merge(results[:lost] + results[lost + 1:])
+    with pytest.raises(ValueError, match="one result per job"):
+        report.merge(results + [results[lost]])
 
 
 def test_portfolio_report_json_round_trip_and_replay():
@@ -119,13 +128,13 @@ def test_portfolio_report_json_round_trip_and_replay():
         seed=7,
     ).run()
     assert report.bug_found
-    restored = PortfolioReport.from_json(report.to_json())
+    restored = HuntReport.from_json(report.to_json())
     assert restored.to_dict() == report.to_dict()
     # The serialized trace replays deterministically against the scenario,
     # reconstructed by name as a fresh process would.
     bug = restored.first_bug
     winner = restored.winning_result
-    replayed = replay_trace(restored.scenario, bug.trace, winner.job.config)
+    replayed = replay_trace(restored.scenario, bug.trace, winner.unit.config(restored.config))
     assert replayed is not None
     assert replayed.kind == bug.kind
     assert replayed.message == bug.message
@@ -144,15 +153,15 @@ def test_portfolio_budget_smaller_than_shard_count():
     )
     jobs = portfolio.jobs()
     assert len(jobs) == 3
-    assert all(job.config.iterations == 1 for job in jobs)
-    assert sum(job.config.iterations for job in jobs) == 3
+    assert all(job.iterations == 1 for job in jobs)
+    assert sum(job.iterations for job in jobs) == 3
 
 
 def test_portfolio_budget_splits_remainder_across_shards():
     jobs = Portfolio(
         "examplesys/safety-bug", strategies=["random"], iterations=10, num_shards=3
     ).jobs()
-    assert [job.config.iterations for job in jobs] == [4, 3, 3]
+    assert [job.iterations for job in jobs] == [4, 3, 3]
 
 
 def test_run_scenario_rejects_config_plus_overrides():
@@ -180,14 +189,15 @@ def test_serial_stop_on_first_bug_cancels_later_jobs_in_index_order():
     # serial execution walks jobs in index order: everything before the
     # winner ran bug-free to completion, everything after was cancelled
     for result in report.results:
-        if result.job.index < winner.job.index:
+        if result.unit.index < winner.unit.index:
             assert result.report.iterations_executed >= 1
             assert not result.report.bug_found
-        elif result.job.index > winner.job.index:
+        elif result.unit.index > winner.unit.index:
             assert result.report.iterations_executed == 0
-            assert result.report.iterations_requested == result.job.config.iterations
+            assert result.report.iterations_requested == result.unit.iterations
     # job numbering is intact despite the cancellations
-    assert [result.job.index for result in report.results] == list(range(4))
+    assert [result.unit.index for result in report.results] == list(range(4))
+    assert report.stopped_early
 
 
 def test_pool_stop_on_first_bug_terminates_remaining_jobs():
@@ -203,7 +213,7 @@ def test_pool_stop_on_first_bug_terminates_remaining_jobs():
     report = portfolio.run()
     assert report.bug_found
     # every job appears exactly once, in index order, completed or cancelled
-    assert [result.job.index for result in report.results] == list(range(4))
+    assert [result.unit.index for result in report.results] == list(range(4))
     # the winner is a job that actually completed, never a placeholder
     assert report.winning_result.report.iterations_executed >= 1
     cancelled = [r for r in report.results if r.report.iterations_executed == 0]
@@ -221,3 +231,4 @@ def test_stop_on_first_bug_defaults_off_and_runs_everything():
     )
     report = portfolio.run()
     assert all(result.report.iterations_executed >= 1 for result in report.results)
+    assert not report.stopped_early

@@ -2,10 +2,10 @@
 the ``spawn`` start method.
 
 Spawn-started workers are fresh interpreters: they re-import ``repro`` but
-know nothing about user modules the parent imported.  The seed
-``_execute_job`` only loaded builtins, so ``get_scenario`` raised
-``KeyError`` for any user scenario on macOS/Windows (where spawn is the
-default).  Jobs now carry their import specs and workers replay them.
+know nothing about user modules the parent imported, so ``get_scenario``
+would raise ``KeyError`` for any user scenario on macOS/Windows (where spawn
+is the default).  The hunt carries its import specs and every pool worker
+replays them at start-up.
 """
 
 import multiprocessing
@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.core.portfolio import Portfolio, PortfolioJob, _execute_job
+from repro.core.hunt import HuntReport, WorkUnit, _init_worker, execute_unit
+from repro.core.portfolio import Portfolio
 from repro.core.registry import import_scenario_modules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -26,7 +27,7 @@ def quickstart_scenario():
     return "quickstart/dropped-response"
 
 
-def test_job_payload_round_trips_imports(quickstart_scenario):
+def test_report_round_trips_imports_and_units(quickstart_scenario):
     portfolio = Portfolio(
         quickstart_scenario,
         strategies=["random"],
@@ -34,12 +35,15 @@ def test_job_payload_round_trips_imports(quickstart_scenario):
         imports=(QUICKSTART,),
     )
     job = portfolio.jobs()[0]
-    assert job.imports == (QUICKSTART,)
-    assert PortfolioJob.from_dict(job.to_dict()) == job
+    assert WorkUnit.from_dict(job.to_dict()) == job
+    report = portfolio.run()
+    assert report.imports == (QUICKSTART,)
+    assert HuntReport.from_json(report.to_json()).imports == (QUICKSTART,)
 
 
-def test_worker_entry_point_reimports_user_scenarios(quickstart_scenario):
-    """_execute_job resolves a user scenario from its payload alone."""
+def test_worker_initialiser_reimports_user_scenarios(quickstart_scenario):
+    """The pool's per-worker set-up resolves a user scenario from what the
+    parent hands a worker process alone: name, config dict, import specs."""
     portfolio = Portfolio(
         quickstart_scenario,
         strategies=["random"],
@@ -47,10 +51,14 @@ def test_worker_entry_point_reimports_user_scenarios(quickstart_scenario):
         seed=5,
         imports=(QUICKSTART,),
     )
-    payload = portfolio.jobs()[0].to_dict()
-    result = _execute_job(payload)
-    assert result["index"] == 0
-    assert result["report"]["iterations_executed"] >= 1
+    testcase, config = _init_worker(
+        quickstart_scenario, portfolio.config.to_dict(), portfolio.imports
+    )
+    assert testcase.name == quickstart_scenario
+    assert config == portfolio.config
+    result = execute_unit(testcase, config, portfolio.jobs()[0]).result
+    assert result.unit.index == 0
+    assert result.report.iterations_executed >= 1
 
 
 def test_spawn_portfolio_runs_imported_scenario(quickstart_scenario):
@@ -72,7 +80,7 @@ def test_spawn_portfolio_runs_imported_scenario(quickstart_scenario):
 
     def fingerprint(report):
         return [
-            (r.job.index, r.job.strategy, r.job.seed,
+            (r.unit.index, r.unit.strategy, r.unit.seed,
              r.report.iterations_executed, r.report.bug_found)
             for r in report.results
         ]

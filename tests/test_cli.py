@@ -315,7 +315,7 @@ def test_run_prune_defaults_to_dpor_lite_and_finds_the_bug(tmp_path, capsys):
     assert "dpor-lite" in out
     with open(report_path) as handle:
         payload = json.load(handle)
-    assert any(result["job"]["strategy"] == "dpor-lite"
+    assert any(result["unit"]["strategy"] == "dpor-lite"
                for result in payload["results"])
 
 
@@ -338,7 +338,7 @@ def test_run_parallel_writes_replayable_report(tmp_path, capsys):
     assert "space exhausted" in out
     assert "bug found" in out
 
-    # the written report is an ordinary portfolio document: replay works
+    # one report model: replay reads the claim units as it reads jobs
     assert main(["replay", report_path]) == 0
     out = capsys.readouterr().out
     assert "replay reproduced the recorded bug deterministically" in out
@@ -379,15 +379,98 @@ def test_run_parallel_rejects_multiple_strategies(capsys):
     assert "single" in capsys.readouterr().err
 
 
-def test_run_parallel_rejects_shrink(capsys):
-    code = main([
+_NOISY_BOMB_MODULE = """\
+from repro import Event, Machine, on_event, scenario
+
+class Tick(Event):
+    pass
+
+class Noise(Machine):
+    def on_start(self):
+        self.left = 4
+        self.send(self.id, Tick())
+
+    @on_event(Tick)
+    def tick(self, event):
+        self.left -= 1
+        if self.left:
+            self.send(self.id, Tick())
+
+class Bomb(Machine):
+    def on_start(self):
+        self.assert_that(False, "boom")
+
+@scenario("cli-test/noisy-bomb", max_steps=50)
+def noisy_bomb():
+    def entry(runtime):
+        runtime.create_machine(Noise)
+        runtime.create_machine(Bomb)
+    return entry
+"""
+
+
+def test_run_parallel_with_shrink_embeds_shrunk_trace(tmp_path, capsys):
+    # depth-first order runs the noise machine's steps before the failing
+    # one, so the recorded trace has something to shrink away
+    module = tmp_path / "noisy_bomb.py"
+    module.write_text(_NOISY_BOMB_MODULE)
+    report_path = str(tmp_path / "parallel-shrunk.json")
+    assert main([
+        "run",
+        "--import", str(module),
+        "--scenario", "cli-test/noisy-bomb",
+        "--parallel", "2",
+        "--claim-iterations", "3",
+        "--stop-on-bug",
+        "--shrink",
+        "--output", report_path,
+        "--expect-bug",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "parallel[dfs]" in out
+    assert "shrunk 6 -> 1 steps" in out
+    with open(report_path) as handle:
+        payload = json.load(handle)
+    bugs = [bug for result in payload["results"] for bug in result["report"]["bugs"]]
+    # the winning bug — the first in claim order — carries the shrunk trace
+    assert len(bugs[0]["shrunk_trace"]["steps"]) == bugs[0]["shrink"]["final_length"] == 1
+    assert all("shrink" not in bug for bug in bugs[1:])
+    # strict replay of the shrunk trace reproduces the bug class
+    assert main(["replay", report_path, "--shrunk", "--import", str(module)]) == 0
+    assert "shrunk trace reproduced the recorded bug class" in capsys.readouterr().out
+
+
+def test_parallel_smoke_report_stores_the_table_once_and_still_replays(tmp_path, capsys):
+    """The CI smoke command: units carry only what varies, so the shared
+    config — independence table included — is written once, not per claim."""
+    report_path = str(tmp_path / "smoke.json")
+    assert main([
         "run",
         "--scenario", "vnext/failover-1node",
         "--parallel", "2",
-        "--shrink",
-    ])
-    assert code == 2
-    assert "--shrink" in capsys.readouterr().err
+        "--claim-iterations", "25",
+        "--prune",
+        "--stateful",
+        "--iterations", "100000",
+        "--max-steps", "6",
+        "--output", report_path,
+        "--expect-bug",
+    ]) == 0
+    capsys.readouterr()
+    with open(report_path) as handle:
+        text = handle.read()
+    payload = json.loads(text)
+    assert len(payload["results"]) > 100
+    assert text.count('"independence"') == 1
+    assert payload["config"]["independence"]["machines"]
+    assert all(set(r["unit"]) == {"index", "strategy", "seed", "iterations", "claim"}
+               for r in payload["results"])
+
+    assert main(["replay", report_path]) == 0
+    assert "replay reproduced the recorded bug deterministically" in capsys.readouterr().out
+    assert main(["shrink", report_path]) == 0
+    assert "report with shrunk trace written" in capsys.readouterr().out
+    assert main(["replay", report_path, "--shrunk"]) == 0
 
 
 def test_run_stop_on_bug_portfolio(tmp_path, capsys):
