@@ -22,6 +22,7 @@ redundant executions (fingerprint gossip prunes cross-worker revisits).
 import dataclasses
 import multiprocessing
 import os
+import platform
 import time
 
 try:
@@ -108,6 +109,7 @@ def test_bench_parallel_speedup_over_serial_dpor(benchmark):
         speedup=round(speedup, 3),
         distinct_states=len(serial.coverage.fingerprints),
         cpus=os.cpu_count(),
+        python=platform.python_version(),
     )
 
     # the parallel run proves the same facts as the serial one: same bug

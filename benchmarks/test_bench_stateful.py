@@ -12,12 +12,13 @@ Composed with dpor-lite sleep sets the counts drop 4648 -> 3147.
 
 A prune ratio is not a speedup, so the seconds gate (ROADMAP's exit
 criterion for "stateful search must win in seconds") asserts that the pruned
-search also finishes first: min-of-3 ``stateful_seconds < dfs_seconds``, the
-two searches interleaved because shared hosts change speed under a test.
-Reference on 2 CPUs, CPython 3.11: 2.2-2.5 s against 2.7-2.9 s (before the
-fingerprint memo: 4.6-5.8 s against the same).  Loaded CI runners switch the
-assert off with ``REPRO_BENCH_ASSERT_SPEEDUP=0``; the numbers are recorded
-either way.
+search also finishes well ahead: min-of-3 ``stateful_seconds <= 0.8 *
+dfs_seconds``, the two searches interleaved because shared hosts change
+speed under a test.  Reference on 2 CPUs, CPython 3.11: about 1.4 s against
+2.3 s, ratio 0.6 (0.75-0.85 before replayed prefixes went blind, when the
+bar was ``<``; 4.6-5.8 s against the same before the fingerprint memo).
+Loaded CI runners switch the assert off with ``REPRO_BENCH_ASSERT_SPEEDUP=0``;
+the numbers are recorded either way.
 
 The determinism gate additionally pins the *content* of the fingerprint set:
 the sha256 digest over the sorted fingerprints must equal the literal below,
@@ -49,6 +50,10 @@ ASSERT_SPEEDUP = os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP", "1") != "0"
 
 #: deep enough that revisits happen, shallow enough for a CI-sized exhaust
 MAX_STEPS = 7
+
+#: the seconds gate: 3.1x fewer schedules must cost at most this share of
+#: plain DFS's wall-clock
+SECONDS_RATIO = 0.8
 
 #: ``_fingerprint_digest`` of the 2 046 states within ``MAX_STEPS`` steps, as
 #: plain dfs, stateful dfs and dpor-lite all collect them (``bench/workloads.py``
@@ -125,8 +130,9 @@ def test_bench_stateful_beats_dfs_in_seconds():
         python=platform.python_version(),
     )
     if ASSERT_SPEEDUP:
-        assert stateful_best < dfs_best, (
-            f"stateful search took {stateful_best:.2f}s, plain dfs {dfs_best:.2f}s"
+        assert stateful_best <= SECONDS_RATIO * dfs_best, (
+            f"stateful search took {stateful_best:.2f}s, plain dfs {dfs_best:.2f}s: "
+            f"ratio {stateful_best / dfs_best:.2f} > {SECONDS_RATIO}"
         )
 
 

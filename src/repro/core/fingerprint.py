@@ -8,7 +8,12 @@ pending start arguments, plus every registered monitor's state — in one
 the enabled-set bookkeeping: every enqueue/dequeue updates a rolling queue
 hash in O(1), every dispatched step refreshes only the executed machine's
 component, and the global value is the XOR-fold of the per-machine and
-per-monitor components.  Nothing ever rescans the whole system.
+per-monitor components.  Nothing ever rescans the whole system — and nothing
+is maintained before anybody looks: the tracker builds its records at the
+first observation of an execution, or is handed them back from a
+:meth:`FingerprintTracker.snapshot` by a search that has been in this state
+before (see *Replaying the prefix blind* in
+:mod:`repro.core.strategy.dfs_strategy`).
 
 Three consumers build on it:
 
@@ -721,6 +726,14 @@ class _QueueHash:
         self.value = value
         self.power = pow(_B, len(self.items), _M)
 
+    def copy(self) -> "_QueueHash":
+        twin = _QueueHash.__new__(_QueueHash)
+        twin.value = self.value
+        twin.power = self.power
+        twin.items = self.items.copy()
+        twin.inexact = self.inexact
+        return twin
+
 
 class _MachineRecord:
     """Cached fingerprint component of one machine."""
@@ -761,6 +774,45 @@ class _MachineRecord:
             and self.raised.inexact == 0
         )
 
+    def copy(self) -> "_MachineRecord":
+        """An independent twin of a *folded* record (``dirty`` is False)."""
+        twin = _MachineRecord.__new__(_MachineRecord)
+        twin.prefix = self.prefix
+        twin.start_exact = self.start_exact
+        twin.slow = self.slow
+        twin.attrs_exact = self.attrs_exact
+        twin.paused = self.paused
+        twin.inbox = self.inbox.copy()
+        twin.raised = self.raised.copy()
+        twin.component = self.component
+        twin.exact = self.exact
+        twin.dirty = False
+        return twin
+
+
+def _creation_prefix(machine: "Machine") -> "tuple[int, bool]":
+    """``(_mix(identity hash, start-arguments hash), start_exact)``."""
+    mid = machine._id
+    start = getattr(machine, "_start_args", ((), {}))
+    # Every schedule re-creates the same machines with the same arguments:
+    # identity and arguments together are one memo key.
+    tokens: List[Any] = [_CREATED]
+    try:
+        _freeze_machine_id(mid, tokens)
+        _FREEZERS[start.__class__](start, tokens)
+    except _Unfreezable:
+        key = created = None
+    else:
+        key = tuple(tokens)
+        created = _MEMO.get(key)
+    if created is None:
+        base = stable_hash((mid.value, mid.type_name, mid.name))[0]
+        start_hash, start_exact = stable_hash(start)
+        created = (_mix(base, start_hash), start_exact)
+        if key is not None:
+            _MEMO.put(key, created)
+    return created
+
 
 class FingerprintTracker:
     """Incrementally maintained global execution fingerprint.
@@ -774,10 +826,25 @@ class FingerprintTracker:
     fired on it since the last observation.  Monitors are notified
     synchronously from inside steps, so they are dirty-marked at
     notification and refreshed at the next :meth:`current` query as well.
+
+    Nothing is maintained before anybody looks.  Until the first
+    :meth:`current` there are no records, so every hook finds nothing to
+    update; that first call builds them from the live machines and queues
+    (:meth:`_build`, which is also all :meth:`recompute` does) and
+    incremental maintenance continues from there.  A search that replays a
+    known decision prefix never observes along it: it hands the tracker the
+    :meth:`snapshot` it took at the end of that prefix in an earlier
+    execution (:meth:`restore`) and only the steps after it are maintained.
     """
 
     def __init__(self, runtime: "RuntimeKernel") -> None:
         self._runtime = runtime
+        #: False until the first observation (or a restore): no records yet
+        self._built = False
+        self._restore_expected = False
+        #: machine-id value -> ``(prefix, start_exact)`` of the machines
+        #: created so far, taken at creation (see :meth:`register_machine`)
+        self._created: Dict[int, "tuple[int, bool]"] = {}
         self._records: Dict[int, _MachineRecord] = {}
         self._dirty_records: List[_MachineRecord] = []
         self._monitor_components: Dict[type, int] = {}
@@ -790,33 +857,52 @@ class FingerprintTracker:
         #: seen before in this tracker's lifetime (one execution)
         self.last_novel = False
         self._seen: Set[int] = set()
+        #: how this tracker came by its records (observability): an
+        #: execution of a DFS-family search costs one of the two
+        self.builds = 0
+        self.restores = 0
 
     # ------------------------------------------------------------------
     # machine lifecycle
     # ------------------------------------------------------------------
     def register_machine(self, machine: "Machine") -> None:
-        """Start tracking ``machine`` (before its StartEvent is enqueued)."""
-        mid = machine._id
-        start = getattr(machine, "_start_args", ((), {}))
-        # Every schedule re-creates the same machines with the same
-        # arguments: identity and arguments together are one memo key.
-        tokens: List[Any] = [_CREATED]
-        try:
-            _freeze_machine_id(mid, tokens)
-            _FREEZERS[start.__class__](start, tokens)
-        except _Unfreezable:
-            key = created = None
-        else:
-            key = tuple(tokens)
-            created = _MEMO.get(key)
-        if created is None:
-            base = stable_hash((mid.value, mid.type_name, mid.name))[0]
-            start_hash, start_exact = stable_hash(start)
-            created = (_mix(base, start_hash), start_exact)
-            if key is not None:
-                _MEMO.put(key, created)
-        record = self._records[mid.value] = _MachineRecord(*created)
+        """Start tracking ``machine`` (before its StartEvent is enqueued).
+
+        The start arguments are hashed here, at creation, however much later
+        the record itself is built: a handler may mutate an argument it was
+        started with, and the prefix is a per-machine constant that must not
+        depend on when the first observation happens.
+        """
+        if self._built:
+            self._track(machine, _creation_prefix(machine))
+        elif not self._restore_expected:
+            self._created[machine._id.value] = _creation_prefix(machine)
+
+    def _track(self, machine: "Machine", created: "tuple[int, bool]") -> _MachineRecord:
+        record = self._records[machine._id.value] = _MachineRecord(*created)
         self._refresh(machine, record)
+        return record
+
+    def _build(self) -> None:
+        """Construct every record from the live machines, queues and monitors.
+
+        The one construction path: the first observation of an execution
+        runs it, and :meth:`recompute` runs it on a fresh tracker (which has
+        seen no creation, so it derives the prefixes from the machines too).
+        """
+        self._built = True
+        self.builds += 1
+        created = self._created
+        for machine in self._runtime._machines.values():
+            prefix = created.get(machine._id.value) or _creation_prefix(machine)
+            record = self._track(machine, prefix)
+            for event in machine._inbox:
+                record.inbox.append(*stable_hash(event))
+            for event in machine._raised:
+                record.raised.append(*stable_hash(event))
+        created.clear()
+        for monitor in self._runtime._monitors.values():
+            self.register_monitor(monitor)
 
     def touch(self, machine: "Machine") -> None:
         """Refresh the slow-changing parts of ``machine``'s component.
@@ -877,9 +963,10 @@ class FingerprintTracker:
     # ------------------------------------------------------------------
     # queue hooks (O(1) on the append/popleft hot paths)
     #
-    # An event is hashed when it is queued and not again, so its payload must
-    # not be mutated after it is sent (which a message-passing program cannot
-    # do across machines anyway).
+    # An event is hashed once: when it is queued or, if it is already waiting
+    # when the records are built, then.  Both give the same value as long as
+    # its payload is not mutated after it is sent (which a message-passing
+    # program cannot do across machines anyway).
     # ------------------------------------------------------------------
     def on_enqueue(self, machine: "Machine", event: Event) -> None:
         record = self._records.get(machine._id.value)
@@ -923,12 +1010,14 @@ class FingerprintTracker:
     # monitors (synchronously notified => dirty-marked, lazily refreshed)
     # ------------------------------------------------------------------
     def register_monitor(self, monitor: "Monitor") -> None:
-        self._monitor_components[type(monitor)] = 0
-        self._monitor_exact[type(monitor)] = True
-        self._dirty_monitors.add(type(monitor))
+        if self._built:
+            self._monitor_components[type(monitor)] = 0
+            self._monitor_exact[type(monitor)] = True
+            self._dirty_monitors.add(type(monitor))
 
     def mark_monitor_dirty(self, monitor: "Monitor") -> None:
-        self._dirty_monitors.add(type(monitor))
+        if self._built:
+            self._dirty_monitors.add(type(monitor))
 
     def _refresh_monitor(self, monitor_cls: type) -> None:
         monitor = self._runtime._monitors.get(monitor_cls)
@@ -952,6 +1041,8 @@ class FingerprintTracker:
     # ------------------------------------------------------------------
     def current(self) -> Fingerprint:
         """The fingerprint of the current global state."""
+        if not self._built:
+            self._build()
         if self._dirty_records:
             for record in self._dirty_records:
                 self._fold(record)
@@ -969,23 +1060,62 @@ class FingerprintTracker:
     def recompute(self) -> Fingerprint:
         """The fingerprint rebuilt from scratch (for invariant checking).
 
-        Walks every machine and monitor and re-derives the value the
-        incremental bookkeeping should be holding; tests assert
-        ``current().value == recompute().value`` at arbitrary points.  Never
-        called on any hot path.
+        A fresh tracker's first observation walks every machine and monitor
+        and re-derives the value the incremental bookkeeping should be
+        holding; tests assert ``current() == recompute()`` at arbitrary
+        points.  Never called on any hot path.
         """
-        fresh = FingerprintTracker(self._runtime)
-        for machine in self._runtime._machines.values():
-            fresh.register_machine(machine)
-            record = fresh._records[machine._id.value]
-            for event in machine._inbox:
-                record.inbox.append(*stable_hash(event))
-            for event in machine._raised:
-                record.raised.append(*stable_hash(event))
-        for monitor_cls in self._runtime._monitors:
-            fresh.register_monitor(fresh._runtime._monitors[monitor_cls])
-        value = fresh.current()
-        return Fingerprint(value.value, value.exact)
+        return FingerprintTracker(self._runtime).current()
+
+    # ------------------------------------------------------------------
+    # checkpoints of the derived state (never of the program)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> tuple:
+        """Everything :meth:`current` derives its answer from, as of now.
+
+        Ints, flags and short deques of ``(hash, exact)`` pairs — O(machines
+        + queued events).  Opaque to callers; only :meth:`restore` reads it.
+        """
+        self.current()  # fold what is dirty: a snapshot holds clean records
+        return (
+            {value: record.copy() for value, record in self._records.items()},
+            dict(self._monitor_components),
+            dict(self._monitor_exact),
+            self._global,
+            self._inexact,
+        )
+
+    def expect_restore(self) -> None:
+        """Promise a :meth:`restore` before anything observes this tracker.
+
+        A machine created on the way to the restored state is in the
+        snapshot, creation prefix included, so hashing its start arguments
+        again would be thrown away; with the promise made, creations are not
+        looked at until the restore.  Should the promise be broken (the
+        replayed prefix diverged), the first observation builds the records
+        regardless and derives those prefixes from the start arguments as
+        they are by then.
+        """
+        self._restore_expected = True
+
+    def restore(self, snapshot: tuple) -> None:
+        """Become the tracker that took ``snapshot``.
+
+        The caller vouches that the program is in the state it was in then
+        (a deterministic replay of the same decision prefix).  Hooks that
+        fired before are superseded; ``last_novel`` keeps counting from the
+        observations *this* tracker made, which only ``feedback`` reads and
+        it never restores.
+        """
+        records, components, monitor_exact, self._global, self._inexact = snapshot
+        self._records = {value: record.copy() for value, record in records.items()}
+        self._monitor_components = dict(components)
+        self._monitor_exact = dict(monitor_exact)
+        self._dirty_records.clear()
+        self._dirty_monitors.clear()
+        self._created.clear()
+        self._built = True
+        self.restores += 1
 
 
 def tracker_for(runtime: "RuntimeKernel") -> Optional[FingerprintTracker]:

@@ -228,7 +228,8 @@ class TestRuntime(RuntimeKernel):
         # loop are a measurable fraction of per-execution cost.
         enabled_ids = self._enabled_ids
         machines_by_value = self._machines_by_value
-        next_machine = self.strategy.next_machine
+        strategy = self.strategy
+        next_machine = strategy.next_machine
         trace_steps_append = self.trace.steps.append
         trace_states_append = self.trace.states.append
         sink_append = self._sink.append
@@ -244,7 +245,11 @@ class TestRuntime(RuntimeKernel):
             if not enabled_ids:
                 self.termination_reason = "quiescence"
                 return
-            if fingerprints_seen is not None:
+            # A search replaying a prefix it has played before vouches that
+            # this state's fingerprint is already in the coverage set; not
+            # observing there is what lets the tracker stay unbuilt (or be
+            # restored from a snapshot) until the execution turns new.
+            if fingerprints_seen is not None and not strategy.state_known:
                 fingerprints_seen.add(tracker.current().value)
             # Strategies receive an immutable snapshot, never the live list
             # the bookkeeping maintains; it is rebuilt only on steps where

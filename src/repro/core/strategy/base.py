@@ -37,6 +37,12 @@ class SchedulingStrategy(abc.ABC):
     #: ``TestingConfig.fingerprints`` is off.
     wants_fingerprints = False
 
+    #: True while the next scheduling choice replays a decision this search
+    #: already took from the very same global state, so the runtime need not
+    #: observe (and re-record the fingerprint of) that state again.  Only an
+    #: exhaustive search that re-runs known prefixes ever says so.
+    state_known = False
+
     #: exhaustive strategies that can restrict their search to a *subtree
     #: claim* — a frozen prefix of choice-tree decisions — set this and
     #: implement ``set_claim`` / ``export_frontier`` / ``seed_visited`` (see

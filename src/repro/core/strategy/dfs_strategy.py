@@ -34,10 +34,62 @@ Soundness discipline:
   paused coroutine, no unencodable value anywhere) participate; anything
   else degrades to plain DFS at that node.
 * **Forced nodes occupy a stack slot.**  A pruned node records a one-option
-  choice point, so replayed prefixes stay aligned across iterations; when a
-  previously-branching node becomes forced in a later iteration (the
-  visited set grew), the existing option-count-mismatch restart abandons
-  that subtree — deliberately, because it is provably covered.
+  choice point, so replayed prefixes stay aligned across iterations.  A node
+  never changes from branching to forced while it is on the stack (see
+  *Replaying the prefix blind*), so a prefix replays the decisions it
+  recorded, always.
+
+Replaying the prefix blind
+--------------------------
+
+Every execution starts from the root, so all but the last of its decisions
+are ones the search has taken before, from the same states (README, *The
+determinism contract*).  Nothing that is a function of the decision prefix
+is derived twice.  A scheduling node remembers what its first visit
+computed — the branch-ordered options (sorted and, under ``dpor-lite``,
+sleep-filtered), the size of the enabled set they came from, whether the
+node was pruned, the sleep set on entry and the one that follows the branch
+last played, and a snapshot of the fingerprint tracker — and
+:meth:`DFSStrategy.next_machine` at a node that has been *played* returns
+``options[index]``: no sort, no observation, no covered check, no footprint
+resolution.  Only the *bumped* node (last on the stack, new index) does any
+work: it restores the tracker snapshot, so the one new step of the execution
+is maintained incrementally, and derives the sleep set that follows its new
+branch from the recorded sleep set on entry.  While the next choice is a
+played node the strategy says so to the runtime (the one property its loop
+reads per step), which then does not observe the state either; its
+fingerprint went into the coverage set when the node was first played.
+
+The recorded answer is used only when the enabled set has the recorded size;
+otherwise the full path below runs, as for a node never played, and
+``_choose`` deals with the divergence: a frozen claim decision raises, any
+other restarts its subtree and counts a :attr:`DFSStrategy.prefix_restarts`
+— which stays 0 unless the harness breaks the determinism contract.  Frozen
+claim decisions have nothing recorded until their first execution, which
+therefore observes them and tests them against the seeded visited entries.
+
+Why a played node's covered status is not checked again: it cannot have
+changed.  A fingerprint enters the visited map only when a node pops, or
+through :meth:`DFSStrategy.seed_visited`, which runs before the first
+execution.  Every pop between a node's creation and its own pop is of a node
+in its subtree, reached at least one step later, so the entry it writes has
+strictly fewer remaining steps than the node has and can never satisfy
+``visited[fingerprint] >= remaining`` for it.  A node found uncovered
+therefore stays uncovered for as long as it is on the stack (and a covered
+one stays covered: entries only grow).
+
+Sleep sets
+----------
+
+The search threads a *sleep set* along every execution: machines whose
+subtree an earlier sibling already explored and that nothing chosen since
+conflicts with (Godefroid).  Sleepers are left out of a node's options, the
+set is part of the state key of stateful search, a covered state drops it,
+and each choice point keeps the set it was entered with and the one that
+follows its current branch.  Plain DFS knows no independence, so for it the
+set is always empty and none of this does anything;
+:mod:`repro.core.strategy.dpor_lite` overrides the one method that puts
+machines to sleep.
 
 Subtree claims (parallel search)
 --------------------------------
@@ -68,15 +120,18 @@ random and priority-based schedulers) and is used by the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..fingerprint import merge_visited
+from ..fingerprint import merge_visited, stable_hash, tracker_for
 from ..ids import MachineId
 from .base import SchedulingStrategy
 from .registry import register_strategy
 
+_by_value = attrgetter("value")
 
-@dataclass
+
+@dataclass(slots=True)
 class _ChoicePoint:
     num_options: int
     index: int
@@ -89,6 +144,24 @@ class _ChoicePoint:
     #: or popped; their subtree (beyond the claimed branch) belongs to other
     #: claims, so their state is never recorded either.
     frozen: bool = False
+    # -- what the full path computed at a scheduling node, for replay ------
+    #: the index last played here; -1 until a scheduling choice has taken the
+    #: full path at this node (value choices never do), and none of the
+    #: fields below means anything before
+    played: int = -1
+    #: the candidates in branch order: sorted by id, minus the sleepers
+    options: Sequence[MachineId] = ()
+    #: size of the enabled set ``options`` was derived from
+    enabled: int = 0
+    #: the state was covered: one forced option, and the schedule is pruned
+    pruned: bool = False
+    #: sleep set on entry (emptied when it covered every enabled machine) ...
+    sleep_in: Optional[Dict[int, Any]] = None
+    #: ... and the one in force after branch ``played``
+    sleep_out: Optional[Dict[int, Any]] = None
+    #: ``FingerprintTracker.snapshot()`` taken when the node was observed;
+    #: ``None`` without a tracker and on nodes that are never bumped
+    snapshot: Optional[tuple] = None
 
 
 @register_strategy("dfs")
@@ -105,6 +178,7 @@ class DFSStrategy(SchedulingStrategy):
         self.exhausted = False
         self._stateful = stateful
         self._runtime = None
+        self._tracker = None
         self._max_steps = 0
         #: fingerprint -> most remaining steps it has been fully explored
         #: with; persists across iterations (the whole point).
@@ -113,9 +187,26 @@ class DFSStrategy(SchedulingStrategy):
         #: ones merged in through :meth:`seed_visited`; the parallel driver
         #: gossips these to other workers.
         self.visited_delta: Dict[int, int] = {}
+        #: machine-id value -> footprint of the machines *asleep* at this
+        #: point of the current execution (sleep sets, Godefroid): their
+        #: subtrees were explored from an earlier sibling and nothing chosen
+        #: since conflicts with them.  Plain DFS knows no independence, so
+        #: nothing ever falls asleep; ``dpor-lite`` fills it in
+        #: (:meth:`_sleep_after`).  Never mutated in place: choice points
+        #: keep references.
+        self._sleep: Dict[int, Any] = {}
         #: schedules that hit at least one covered state (observability)
         self.pruned_schedules = 0
         self._pruned_this_iteration = False
+        #: scheduling choices answered from what the node recorded, against
+        #: those that took the full path (sort, observe, covered check, sleep
+        #: set); a search is fast when nearly all are replayed
+        self.replayed_choices = 0
+        self.observed_choices = 0
+        #: subtrees restarted because a replayed prefix reached a choice
+        #: with a different number of options: the harness is not a function
+        #: of the scheduler's decisions (README, determinism contract)
+        self.prefix_restarts = 0
         #: number of frozen claim-prefix decisions at the bottom of the stack
         self._frozen_depth = 0
         #: set when a frozen decision's state is covered by a (seeded)
@@ -129,6 +220,11 @@ class DFSStrategy(SchedulingStrategy):
         """Stateful search needs the runtime to maintain fingerprints."""
         return self._stateful
 
+    @property
+    def state_known(self) -> bool:
+        """The next scheduling choice replays a node played before."""
+        return self._cached() is not None
+
     @classmethod
     def from_config(cls, config, options: Optional[Mapping] = None) -> "DFSStrategy":
         options = dict(options or {})
@@ -137,7 +233,12 @@ class DFSStrategy(SchedulingStrategy):
 
     def attach_runtime(self, runtime) -> None:
         self._runtime = runtime
+        self._tracker = tracker_for(runtime)
         self._max_steps = runtime.config.max_steps
+        # The execution about to start replays the stack and turns new at
+        # its last node; if that node holds a snapshot, it is restored there.
+        if self._stack and self._stack[-1].snapshot is not None:
+            self._tracker.expect_restore()
 
     # ------------------------------------------------------------------
     # subtree claims (parallel search)
@@ -187,6 +288,7 @@ class DFSStrategy(SchedulingStrategy):
     # ------------------------------------------------------------------
     def prepare_iteration(self, iteration: int) -> None:
         self._depth = 0
+        self._sleep = {}
         if self._pruned_this_iteration:
             self.pruned_schedules += 1
             self._pruned_this_iteration = False
@@ -226,8 +328,8 @@ class DFSStrategy(SchedulingStrategy):
             point = self._stack[self._depth]
             if point.num_options != num_options:
                 if point.frozen:
-                    # Frozen decisions replay deterministically and covered
-                    # flips are intercepted in next_machine, so a mismatch
+                    # Frozen decisions replay deterministically and a covered
+                    # one abandons the claim in next_machine, so a mismatch
                     # here means the program under test is nondeterministic
                     # beyond runtime control.  Abandoning silently would
                     # drop an unexplored subtree — fail loudly instead.
@@ -235,9 +337,9 @@ class DFSStrategy(SchedulingStrategy):
                         f"claim prefix diverged at depth {self._depth}: "
                         f"recorded {point.num_options} options, found {num_options}"
                     )
-                # The prefix diverged (the program is not purely determined by
-                # earlier choices, or a node's covered-status flipped);
-                # restart the subtree from this point.
+                # The prefix diverged: the program is not purely determined
+                # by earlier choices.  Restart the subtree from this point.
+                self.prefix_restarts += 1
                 del self._stack[self._depth:]
                 self._stack.append(_ChoicePoint(num_options, 0, state))
         else:
@@ -252,10 +354,10 @@ class DFSStrategy(SchedulingStrategy):
         ``None`` when stateful search is off, the runtime maintains no
         tracker, or the fingerprint is inexact (dedupe would be unsound).
         """
-        if not self._stateful or self._runtime is None:
+        if not self._stateful or self._tracker is None:
             return None
-        current = self._runtime.execution_fingerprint()
-        if current is None or not current.exact:
+        current = self._tracker.current()
+        if not current.exact:
             return None
         return (current.value, self._max_steps - step)
 
@@ -266,12 +368,47 @@ class DFSStrategy(SchedulingStrategy):
             and self._visited.get(state[0], -1) >= state[1]
         )
 
+    def _cached(self) -> Optional[_ChoicePoint]:
+        """The node the next scheduling choice replays, if it was played before.
+
+        The one place that decides between replay and the full path (the
+        differential tests override it to say "never played")."""
+        if self._depth < len(self._stack) and not self.claim_covered:
+            point = self._stack[self._depth]
+            if point.played >= 0:
+                return point
+        return None
+
     def next_machine(self, enabled: Sequence[MachineId], step: int) -> MachineId:
-        ordered = sorted(enabled, key=lambda mid: mid.value)
+        point = self._cached()
+        if point is not None and point.enabled == len(enabled):
+            self.replayed_choices += 1
+            self._depth += 1
+            if point.pruned:
+                self._pruned_this_iteration = True
+            if point.played != point.index:
+                # The bumped node, where this execution turns new.  The
+                # program is back in the state the node was observed in.
+                if point.snapshot is not None:
+                    self._tracker.restore(point.snapshot)
+                point.sleep_out = self._sleep_after(point)
+                point.played = point.index
+            self._sleep = point.sleep_out
+            return point.options[point.index]
+        ordered = sorted(enabled, key=_by_value)
         if self.claim_covered:
             return ordered[0]
+        self.observed_choices += 1
+        sleep = self._sleep
         state = self._observe_state(step)
-        if self._is_covered(state):
+        if state is not None and sleep:
+            # The sleep set is part of the state's identity (Godefroid): the
+            # same global state entered with a different sleep set explores
+            # a different pruned subtree, so only identical (state, sleep)
+            # revisits are provably redundant.
+            state = (state[0] ^ stable_hash(tuple(sorted(sleep)))[0], state[1])
+        pruned = self._is_covered(state)
+        if pruned:
             if self._depth < self._frozen_depth:
                 # A *frozen* decision's state is covered (necessarily by a
                 # seeded entry — post-order recording means this search
@@ -282,11 +419,47 @@ class DFSStrategy(SchedulingStrategy):
             # Every behaviour below this point was explored from a previous
             # visit with at least as many remaining steps: walk out through
             # a single forced branch instead of fanning out.  The forced
-            # node still occupies a stack slot so replay stays aligned.
+            # node still occupies a stack slot so replay stays aligned; the
+            # branch may run a sleeping machine, so the sleep set is dropped
+            # for the remainder of this (provably covered) suffix.
             self._pruned_this_iteration = True
+            options = ordered[:1]
+            sleep = {}
             self._choose(1)
-            return ordered[0]
-        return ordered[self._choose(len(ordered), state)]
+        else:
+            options = ordered
+            if sleep:
+                options = [mid for mid in ordered if mid.value not in sleep]
+                if not options:
+                    # Every enabled machine is asleep.  Classical sleep sets
+                    # would cut the execution here (the state is fully
+                    # covered); this strategy cannot abort mid-execution, so
+                    # it re-opens the full set — sound, merely exploring a
+                    # covered branch.
+                    options = ordered
+                    sleep = {}
+            self._choose(len(options), state)
+        point = self._stack[self._depth - 1]
+        point.played = point.index
+        point.options = options
+        point.enabled = len(enabled)
+        point.pruned = pruned
+        point.sleep_in = sleep
+        point.sleep_out = self._sleep = {} if pruned else self._sleep_after(point)
+        # Only a node that can be bumped is ever restored to.
+        point.snapshot = (
+            self._tracker.snapshot()
+            if self._tracker is not None and point.num_options > 1 and not point.frozen
+            else None
+        )
+        return options[point.index]
+
+    def _sleep_after(self, point: _ChoicePoint) -> Dict[int, Any]:
+        """The sleep set in force once ``point.options[point.index]`` has run.
+
+        Called with the program at ``point``; plain DFS has no independence
+        facts, so nothing sleeps."""
+        return {}
 
     def next_boolean(self, requester: MachineId, step: int) -> bool:
         return bool(self._choose(2))

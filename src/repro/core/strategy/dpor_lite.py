@@ -1,8 +1,18 @@
 """Dependence-aware DFS: sleep-set pruning from static independence facts.
 
 ``dpor-lite`` is :class:`~repro.core.strategy.dfs_strategy.DFSStrategy` plus
-*sleep sets* (Godefroid).  At each scheduling point the strategy determines,
-for every enabled machine, the event its dispatch would consume next, and
+*sleep sets* (Godefroid).  The base class already threads a sleep set along
+every execution — filtering sleepers out of the options, folding the set
+into the state key of stateful search, dropping it on a covered state and
+keeping it per choice point so a replayed prefix re-derives nothing — but
+under plain DFS that set stays empty.  This class supplies the one missing
+piece, :meth:`DporLiteStrategy._sleep_after`: who is asleep once a branch
+has been taken.  It runs when a node is first played and again at the
+*bumped* node of each later execution (new branch, same recorded sleep set
+on entry), against the live machines both times.
+
+At such a point the strategy determines, for the chosen machine and its
+earlier siblings, the event the dispatch would consume next, and
 looks that ``(machine class, event type)`` pair up in a statically computed
 independence table (built by
 :func:`repro.analysis.independence.build_independence_table` and threaded in
@@ -43,11 +53,10 @@ like plain ``dfs``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Set
 
-from ..fingerprint import stable_hash
 from ..ids import MachineId
-from .dfs_strategy import DFSStrategy
+from .dfs_strategy import DFSStrategy, _ChoicePoint
 from .registry import register_strategy
 
 #: the table format version this consumer understands (see
@@ -93,8 +102,6 @@ class DporLiteStrategy(DFSStrategy):
         ):
             table = independence.get("machines", {})
         self._table = table
-        #: machine-id value -> footprint resolved when the machine fell asleep
-        self._sleep: Dict[int, _Touch] = {}
 
     @classmethod
     def from_config(cls, config, options: Optional[Mapping] = None) -> "DporLiteStrategy":
@@ -105,74 +112,31 @@ class DporLiteStrategy(DFSStrategy):
             stateful=bool(options.get("stateful", getattr(config, "stateful", False))),
         )
 
-    def prepare_iteration(self, iteration: int) -> None:
-        super().prepare_iteration(iteration)
-        self._sleep = {}
-
     # ------------------------------------------------------------------
-    # scheduling
+    # scheduling: DFSStrategy.next_machine, with machines that fall asleep
     # ------------------------------------------------------------------
-    def next_machine(self, enabled: Sequence[MachineId], step: int) -> MachineId:
+    def _sleep_after(self, point: _ChoicePoint) -> Dict[int, _Touch]:
         if self._table is None or self._runtime is None:
-            return super().next_machine(enabled, step)
-        ordered = sorted(enabled, key=lambda mid: mid.value)
-        if self.claim_covered:
-            return ordered[0]
-        # Stateful dedupe composes *before* the sleep-set machinery: a
-        # covered state needs no fan-out at all, and the forced branch may
-        # legitimately run a sleeping machine, so the sleep set is dropped
-        # for the remainder of this (provably covered) suffix.  The sleep
-        # set is folded into the state identity (Godefroid): the same global
-        # state entered with a different sleep set explores a different
-        # pruned subtree, so only identical (state, sleep) revisits are
-        # provably redundant.
-        state = self._observe_state(step)
-        if state is not None and self._sleep:
-            sleep_hash = stable_hash(tuple(sorted(self._sleep)))[0]
-            state = (state[0] ^ sleep_hash, state[1])
-        if self._is_covered(state):
-            if self._depth < self._frozen_depth:
-                # Covered on the frozen claim prefix: another worker already
-                # exhausted this (state, sleep) — abandon the whole claim
-                # (see DFSStrategy.next_machine).
-                self.claim_covered = True
-                return ordered[0]
-            self._pruned_this_iteration = True
-            self._choose(1)
-            self._sleep = {}
-            return ordered[0]
-        sleep = self._sleep
-        if sleep:
-            allowed = [mid for mid in ordered if mid.value not in sleep]
-            if not allowed:
-                # Every enabled machine is asleep.  Classical sleep sets
-                # would cut the execution here (the state is fully covered);
-                # this strategy cannot abort mid-execution, so it re-opens
-                # the full set — sound, merely exploring a covered branch.
-                allowed = ordered
-                sleep = {}
-        else:
-            allowed = ordered
-        index = self._choose(len(allowed), state)
-        chosen = allowed[index]
+            return {}
+        index = point.index
+        chosen = point.options[index]
         chosen_touch = self._touch_of(chosen)
         new_sleep: Dict[int, _Touch] = {}
         if chosen_touch is not None:
             # Surviving sleepers: still independent of the chosen dispatch.
-            for value, touch in sleep.items():
+            for value, touch in point.sleep_in.items():
                 if value != chosen.value and _independent(touch, chosen_touch):
                     new_sleep[value] = touch
             # Earlier siblings at this point: their subtrees are fully
-            # explored (DFS walks allowed[] left to right), so they fall
+            # explored (DFS walks the options left to right), so they fall
             # asleep for the remainder of this branch if they commute.
-            for sibling in allowed[:index]:
+            for sibling in point.options[:index]:
                 if sibling.value in new_sleep:
                     continue
                 touch = self._touch_of(sibling)
                 if touch is not None and _independent(touch, chosen_touch):
                     new_sleep[sibling.value] = touch
-        self._sleep = new_sleep
-        return chosen
+        return new_sleep
 
     # ------------------------------------------------------------------
     # footprint resolution

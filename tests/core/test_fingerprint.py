@@ -13,11 +13,24 @@ import sys
 from contextlib import contextmanager
 from hashlib import blake2b
 
-from repro.core import Event, Machine, Receive, TestingConfig, TestingEngine, on_event, run_test
+import pytest
+
+from repro.analysis import independence_for_classes
+from repro.analysis.extract import discover_classes
+from repro.core import (
+    Event,
+    Machine,
+    Receive,
+    TestingConfig,
+    TestingEngine,
+    TestRuntime,
+    on_event,
+    run_test,
+)
 from repro.core import fingerprint
 from repro.core.fingerprint import FingerprintTracker, stable_hash
 from repro.core.ids import MachineId
-from repro.core.strategy import RandomStrategy
+from repro.core.strategy import DFSStrategy, RandomStrategy
 from repro.examplesys.harness.scenarios import build_replication_test
 from repro.vnext.harness.scenarios import build_failover_test
 
@@ -377,6 +390,80 @@ def test_incremental_fingerprint_matches_recompute_on_replication():
     _run_with_invariant(build_replication_test(num_nodes=3, num_requests=2))
 
 
+_SEARCH_ENTRIES = {
+    "failover": lambda: build_failover_test(fixed=False, num_nodes=2),
+    "replication": lambda: build_replication_test(num_nodes=3, num_requests=2),
+}
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "dpor-lite"])
+@pytest.mark.parametrize("system", _SEARCH_ENTRIES)
+def test_incremental_fingerprint_matches_recompute_under_stateful_search(
+    system, strategy, monkeypatch
+):
+    """Every observation a stateful search or its runtime makes — the first
+    after a build and the first after a restore included — equals the value
+    rebuilt from scratch."""
+    import repro.core.runtime.testing as testing_runtime
+
+    checks = {"all": 0, "first after build": 0, "first after restore": 0}
+
+    class CheckingTracker(FingerprintTracker):
+        checked = False
+
+        def current(self):
+            incremental = super().current()
+            with memo_disabled():
+                scratch = self.recompute()  # a plain tracker: no recursion
+            assert incremental == scratch
+            checks["all"] += 1
+            if not self.checked:
+                self.checked = True
+                assert self.builds + self.restores == 1
+                checks["first after build"] += self.builds
+                checks["first after restore"] += self.restores
+            return incremental
+
+    monkeypatch.setattr(testing_runtime, "FingerprintTracker", CheckingTracker)
+    build = _SEARCH_ENTRIES[system]
+    config = TestingConfig(
+        iterations=250,
+        max_steps=7,
+        strategy=strategy,
+        stateful=True,
+        stop_at_first_bug=False,
+        max_bugs=None,
+        independence=independence_for_classes(discover_classes(build)),
+    )
+    TestingEngine(build(), config).run()
+    assert checks["all"] > 250, "invariant was barely exercised"
+    assert checks["first after build"] > 0
+    assert checks["first after restore"] > 100
+
+
+def test_hooks_before_the_first_observation_change_nothing():
+    """A tracker nobody looked at for 200 steps answers like one that was
+    built from the empty system and maintained through every hook."""
+
+    def run(eager):
+        strategy = RandomStrategy(seed=3)
+        strategy.prepare_iteration(0)
+        runtime = TestRuntime(strategy, TestingConfig(max_steps=200, fingerprints=True))
+        tracker = runtime._fingerprint
+        if eager:
+            tracker.current()  # builds now: every hook from here on is live
+        runtime.run(build_failover_test(fixed=False, num_nodes=2))
+        assert runtime.step_count == 200
+        return tracker
+
+    eager, lazy = run(eager=True), run(eager=False)
+    assert lazy.builds == 0 and not lazy._records
+    assert lazy.current() == eager.current()
+    assert lazy.builds == eager.builds == 1
+    with memo_disabled():
+        assert lazy.current() == lazy.recompute()
+
+
 class Ping(Event):
     def __init__(self, number):
         self.number = number
@@ -453,6 +540,56 @@ def test_incremental_fingerprint_matches_recompute_across_removals_and_halts():
     finally:
         testing_runtime.FingerprintTracker = saved
     assert min(calls.values()) > 0, calls
+
+
+def test_snapshot_of_a_blocked_machine_restores_as_inexact():
+    strategy = RandomStrategy(seed=1)
+    strategy.prepare_iteration(0)
+    runtime = TestRuntime(strategy, TestingConfig(max_steps=1, fingerprints=True))
+    runtime.run(_picker_entry)  # one step: the picker blocks in Receive(Pong)
+    tracker = runtime._fingerprint
+    before = tracker.current()
+    assert not before.exact
+    snapshot = tracker.snapshot()
+
+    twin = FingerprintTracker(runtime)
+    twin.restore(snapshot)
+    assert (twin.builds, twin.restores) == (0, 1)
+    assert twin.current() == before
+    # a restored tracker owns its records: what it does next stays out of
+    # the snapshot it came from
+    picker = next(iter(runtime._machines.values()))
+    twin.on_enqueue(picker, Ping(99))
+    assert twin.current() != before
+    again = FingerprintTracker(runtime)
+    again.restore(snapshot)
+    assert again.current() == before
+
+
+def test_stateful_search_never_prunes_on_an_inexact_state_restored_or_not():
+    inexact = []
+
+    class Watching(DFSStrategy):
+        def _observe_state(self, step):
+            observed = self._tracker.current()
+            state = super()._observe_state(step)
+            if not observed.exact:
+                assert state is None  # no state, so no lookup and no record
+                inexact.append((observed.value, self._tracker.restores))
+            return state
+
+    config = TestingConfig(
+        iterations=400, max_steps=8, strategy="dfs", stateful=True,
+        stop_at_first_bug=False, max_bugs=None,
+    )
+    strategy = Watching.from_config(config)
+    TestingEngine(_picker_entry, config, strategy).run()
+    assert len(inexact) > 50
+    assert any(restores for _, restores in inexact), "no inexact state after a restore"
+    # the picker stays blocked from its first step on: nothing gets pruned,
+    # and whatever was recorded is none of those states
+    assert strategy.pruned_schedules == 0
+    assert not {value for value, _ in inexact} & set(strategy._visited)
 
 
 def test_fingerprints_flow_into_coverage_and_report():
