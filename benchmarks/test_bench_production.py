@@ -2,24 +2,37 @@
 
 The acceptance bar for the concurrent controller: the examplesys service
 sustains >= 50k dispatched events across >= 8 concurrently-running machines
-with zero monitor violations and a clean (quiescent) shutdown, at a
-throughput that would catch an order-of-magnitude production-mode
-regression.  The same harness classes run under the testing controller (see
-``tests/core/test_production.py``); this module is the production-side gate,
-mirroring how ``test_bench_runtime_hotpath.py`` gates testing mode.
+with zero monitor violations and a clean (quiescent) shutdown — checked on
+every one of three soaks — and the best of the three clears a throughput
+floor ~10x under what the run queue + pump measures on 2 CPUs (~125k ev/s),
+so falling back to a loop turn per event (~60k) is visible in the ledger and
+an order-of-magnitude regression fails the gate.  The numbers land in
+``BENCH_results.json`` under ``production-soak``.  The same harness classes
+run under the testing controller (see ``tests/core/test_production.py``);
+this module is the production-side gate, mirroring how
+``test_bench_runtime_hotpath.py`` gates testing mode.
 """
 
 import os
+import platform
 import time
+
+try:
+    from conftest import record_bench_result
+except ImportError:  # imported as a plain module, outside a pytest session
+    def record_bench_result(gate, **metrics):
+        pass
 
 from repro.core import ProductionRuntime
 from repro.examplesys.harness.service import LoadClient, build_service_test
 
-#: Floor on sustained production dispatch throughput (events/second).  The
-#: dev container and CI runners measure 50–90k ev/s; 8k leaves an ample
-#: load-noise margin while still flagging structural regressions (busy
-#: polling, lost wake-ups, per-event thread hops).
-REQUIRED_EVENTS_PER_SECOND = 8_000
+#: Floor on sustained production dispatch throughput (events/second), judged
+#: on the best of three soaks.  With the run queue + pump the 2-CPU dev
+#: container measures 84–126k ev/s (55–65k with a mailbox task per machine);
+#: halve that for a loaded runner and 12k still leaves >= 5x headroom, while
+#: a structural regression (busy polling, a loop turn or a thread hop per
+#: event) lands well under it.
+REQUIRED_EVENTS_PER_SECOND = 12_000
 
 #: Same report-only escape hatch as the hot-path gate: ordinary test-suite
 #: CI jobs on loaded shared runners set REPRO_BENCH_ASSERT_SPEEDUP=0.
@@ -33,7 +46,8 @@ NUM_REQUESTS = 700
 REQUIRED_EVENTS = 50_000
 
 
-def test_bench_production_soak_throughput():
+def _soak():
+    """One full soak, checked for correctness; returns (seconds, events)."""
     runtime = ProductionRuntime(tick_interval=0.002)
     started = time.perf_counter()
     bug = runtime.run(
@@ -43,21 +57,14 @@ def test_bench_production_soak_throughput():
     elapsed = time.perf_counter() - started
 
     assert bug is None, f"production soak found: {bug}"
-
+    assert runtime.termination_reason == "quiescence"
     dispatched = runtime.step_count
-    # Machines that dispatched beyond their StartEvent — i.e. actually
-    # participated in the soak's event traffic.
-    active_machines = runtime.active_machine_count()
-    throughput = dispatched / elapsed
-    print()
-    print(f"[production] dispatched:  {dispatched} events "
-          f"across {active_machines} machines in {elapsed:.2f}s")
-    print(f"[production] throughput:  {throughput:.0f} events/s "
-          f"(required: {REQUIRED_EVENTS_PER_SECOND})")
-
     assert dispatched >= REQUIRED_EVENTS, (
         f"soak dispatched only {dispatched} events (< {REQUIRED_EVENTS})"
     )
+    # Machines that dispatched beyond their StartEvent — i.e. actually
+    # participated in the soak's event traffic.
+    active_machines = runtime.active_machine_count()
     assert active_machines >= 8, (
         f"only {active_machines} machines dispatched events (>= 8 required)"
     )
@@ -65,6 +72,25 @@ def test_bench_production_soak_throughput():
     assert len(clients) == NUM_CLIENTS
     assert all(len(client.acked) == NUM_REQUESTS for client in clients), (
         "every request of every client must be acknowledged"
+    )
+    print(f"[production] dispatched:  {dispatched} events across {active_machines} "
+          f"machines in {elapsed:.2f}s, {dispatched / runtime.loop_turns:.1f} events/turn")
+    return elapsed, dispatched
+
+
+def test_bench_production_soak_throughput():
+    print()
+    elapsed, dispatched = min(_soak() for _ in range(3))
+    throughput = dispatched / elapsed
+    print(f"[production] throughput:  {throughput:.0f} events/s, best of 3 on "
+          f"{os.cpu_count()} CPUs (required: {REQUIRED_EVENTS_PER_SECOND})")
+    record_bench_result(
+        "production-soak",
+        seconds_min3=round(elapsed, 3),
+        events=dispatched,
+        events_per_second=round(throughput),
+        cpus=os.cpu_count(),
+        python=platform.python_version(),
     )
     if ASSERT_SPEEDUP:
         assert throughput >= REQUIRED_EVENTS_PER_SECOND, (

@@ -366,6 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quiesced = runtime.termination_reason == "quiescence"
     dispatched = runtime.step_count
     active_machines = runtime.active_machine_count()
+    loop_turns = runtime.loop_turns
     stats = {
         "scenario": args.scenario,
         "machines": len(runtime.dispatch_counts),
@@ -373,6 +374,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "events_dispatched": dispatched,
         "elapsed_seconds": elapsed,
         "events_per_second": dispatched / elapsed if elapsed > 0 else 0.0,
+        # how many events each turn of the event loop dispatched: ~1 means
+        # the run paid asyncio's per-turn cost for every single event.
+        "loop_turns": loop_turns,
+        "events_per_turn": dispatched / loop_turns if loop_turns else 0.0,
         "quiesced": quiesced,
         "bug": bug.to_dict() if bug is not None else None,
     }
@@ -382,7 +387,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"served {args.scenario!r} under ProductionRuntime: "
             f"{dispatched} events across {active_machines} machines "
-            f"in {elapsed:.2f}s ({stats['events_per_second']:.0f} events/s)"
+            f"in {elapsed:.2f}s ({stats['events_per_second']:.0f} events/s, "
+            f"{stats['events_per_turn']:.1f} events/turn over {loop_turns} loop turns)"
         )
         print("clean shutdown, no monitor violations" if bug is None and quiesced
               else ("timed out before quiescence" if bug is None else f"VIOLATION: {bug}"))

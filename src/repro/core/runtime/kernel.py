@@ -11,9 +11,9 @@ committing to an execution policy.  Two controllers plug in on top:
   delegated to a scheduling strategy and recorded in a replayable
   :class:`~repro.core.trace.ScheduleTrace`.
 * :class:`~repro.core.runtime.production.ProductionRuntime` — the concurrent
-  deployment controller: an asyncio event loop with one mailbox task per
-  machine, thread-safe external sends, ``os.urandom``-seeded nondeterminism
-  and real wall-clock timers.
+  deployment controller: an asyncio event loop with one run queue of
+  runnable machines drained by one pump callback, thread-safe external
+  sends, ``os.urandom``-seeded nondeterminism and real wall-clock timers.
 
 Machines and monitors talk to the runtime exclusively through the narrow
 kernel surface (``send_event``, ``create_machine``, ``next_boolean`` /
@@ -31,8 +31,10 @@ Controllers must implement:
   resolve a nondeterministic choice (controlled in testing, random in
   production).
 * ``_mark_enabled(machine)`` / ``_mark_disabled(machine)`` — react to a
-  machine's runnability changing (enabled-set bookkeeping in testing, mailbox
-  wake-ups in production).
+  machine's runnability changing.  ``_mark_enabled`` is called by the
+  enqueue paths only while ``machine._enabled`` is false; each controller
+  owns that flag (membership in the sorted enabled set in testing, "on the
+  run queue or being dispatched" in production).
 """
 
 from __future__ import annotations

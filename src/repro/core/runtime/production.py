@@ -2,19 +2,30 @@
 
 :class:`ProductionRuntime` runs the *same* machine programs the testing
 controller explores, but on real concurrency: an asyncio event loop hosted in
-a dedicated thread, with one mailbox task per machine draining that machine's
-inbox.  Nothing about the programming model changes — machines still own
-their state, communicate only through events, and block in ``yield Receive``
-— which is the paper's deployment story: the program that was systematically
-tested is the program that serves traffic.
+a dedicated thread, with one run queue of runnable machines drained by one
+pump callback.  Nothing about the programming model changes — machines still
+own their state, communicate only through events, and block in ``yield
+Receive`` — which is the paper's deployment story: the program that was
+systematically tested is the program that serves traffic.
 
 Execution model
 ---------------
 
-* **One mailbox task per machine.**  Each machine's events are dispatched by
-  its own asyncio task, strictly in order; tasks of different machines
-  interleave at every event boundary (each dispatch ends in a cooperative
-  yield), so cross-machine schedules are genuinely nondeterministic.
+* **One run queue, one pump.**  Runnable machines wait in a FIFO run queue;
+  one ``call_soon`` callback, the pump, pops the head, dispatches *one* of
+  its events and re-appends it at the tail if it still has work, so each
+  machine's events run strictly in order and machines interleave at every
+  event boundary.  After ``_PUMP_SLICE`` events the pump re-schedules itself
+  behind whatever else is ready: timer tasks, external sends, :meth:`join`
+  probes and :meth:`shutdown` get the loop even while a machine self-sends
+  forever, and their timing keeps cross-machine schedules nondeterministic.
+* **Has work implies queued.**  ``machine._enabled`` is true exactly while
+  the machine is on the run queue or being dispatched.  Work arrives only
+  through the enqueue paths (which call ``_mark_enabled`` unless the flag is
+  set) or the machine's own handler (the pump re-checks ``_has_work()``
+  after each dispatch), so an idle machine with work is a lost wake-up:
+  :meth:`join` fails with a :class:`~repro.core.errors.FrameworkError`
+  instead of hanging.
 * **Thread-safe sends.**  Sends from machine handlers run on the loop thread
   and deliver directly; sends from any other thread (external clients, load
   generators, :meth:`post_event`) hop onto the loop via
@@ -37,9 +48,10 @@ Execution model
 
 Lifecycle: :meth:`start` boots the system (the entry point runs on the
 loop), :meth:`join` waits for quiescence / a bug / a timeout, and
-:meth:`shutdown` stops every task, runs the shared end-of-execution checks
-(liveness monitors still hot, machines wedged in receive) and returns the
-:class:`~repro.core.runtime.kernel.BugInfo` if anything was violated.
+:meth:`shutdown` stops the pump and the timers, runs the shared
+end-of-execution checks (liveness monitors still hot, machines wedged in
+receive) and returns the :class:`~repro.core.runtime.kernel.BugInfo` if
+anything was violated.
 :meth:`run` wraps the three for the common boot-drive-stop pattern.
 """
 
@@ -51,7 +63,8 @@ import os
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional
 
 from ..config import TestingConfig
 from ..errors import BugError, FrameworkError, UnexpectedExceptionError
@@ -59,6 +72,11 @@ from ..events import Event, TimerTick
 from ..ids import MachineId
 from ..machine import Machine, MachineHaltRequested
 from .kernel import _CONTROL_EVENTS, BugInfo, RuntimeKernel
+
+#: Events one pump turn dispatches before handing the loop back (~0.5 ms of
+#: loop occupancy).  It only amortizes asyncio's per-turn cost (a handle, a
+#: selector poll) and throughput is flat from ~8 up: a constant, not an option.
+_PUMP_SLICE = 64
 
 
 class ProductionRuntime(RuntimeKernel):
@@ -87,7 +105,12 @@ class ProductionRuntime(RuntimeKernel):
         self._thread: Optional[threading.Thread] = None
         self._monitor_lock = threading.RLock()
         self._rng = random.Random(int.from_bytes(os.urandom(16), "little"))
-        self._mailbox_tasks: Dict[int, "asyncio.Task"] = {}
+        #: pump turns taken; ``step_count / loop_turns`` is the batching achieved.
+        self.loop_turns = 0
+        #: runnable machines in dispatch order (see "Has work implies queued").
+        self._run_queue: Deque[Machine] = deque()
+        #: a pump callback is pending on the loop or running right now.
+        self._pump_scheduled = False
         self._timer_tasks: Dict[int, "asyncio.Task"] = {}
         #: external sends posted via call_soon_threadsafe that have not yet
         #: landed on the loop; quiescence cannot be declared while non-zero.
@@ -235,39 +258,28 @@ class ProductionRuntime(RuntimeKernel):
             # entry action asserting) is a recorded bug, not a crash.
             self._record_bug(error)
 
-    def _wake_all_mailboxes(self) -> None:
-        """Wake every mailbox task so it can observe _stopping/bugs/halts."""
-        for machine in self._machines.values():
-            wakeup = getattr(machine, "_prod_wakeup", None)
-            if wakeup is not None:
-                wakeup.set()
-
     async def _stop_tasks(self) -> None:
-        self._stopping = True
+        self._stopping = True  # the pump observes it and stops re-scheduling
         for task in self._timer_tasks.values():
             task.cancel()
-        self._wake_all_mailboxes()
-        tasks = [
-            task
-            for task in list(self._mailbox_tasks.values()) + list(self._timer_tasks.values())
-            if not task.done()
-        ]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*self._timer_tasks.values(), return_exceptions=True)
 
     # ------------------------------------------------------------------
     # controller hooks
     # ------------------------------------------------------------------
     def _mark_enabled(self, machine: Machine) -> None:
-        # Runnability maps to the machine's mailbox wake-up: the enqueue
-        # paths call this exactly when new work arrived (never for events
-        # that are deferred/ignored or fail a pending receive).
-        wakeup = getattr(machine, "_prod_wakeup", None)
-        if wakeup is not None:
-            wakeup.set()
+        # Only ever called on the loop thread, and (the enqueue paths test
+        # ``_enabled`` first) only for a machine that is neither queued nor
+        # mid-dispatch, exactly when new work arrived for it.
+        machine._enabled = True
+        self._run_queue.append(machine)
+        if not self._pump_scheduled:
+            self._pump_scheduled = True
+            self._loop.call_soon(self._pump)
 
     def _mark_disabled(self, machine: Machine) -> None:
-        # Mailbox tasks re-evaluate ``_has_work`` themselves; nothing to do.
+        # A machine only halts inside its own dispatch; the pump clears the
+        # flag when it sees the machine has no work left.
         pass
 
     def next_boolean(self, requester: MachineId) -> bool:
@@ -287,14 +299,12 @@ class ProductionRuntime(RuntimeKernel):
         self.bug.log = self.execution_log
         self._stopping = True
         self._halted_event.set()
-        self._wake_all_mailboxes()
 
     def _fail(self, error: FrameworkError) -> None:
         if self._framework_error is None:
             self._framework_error = error
         self._stopping = True
         self._halted_event.set()
-        self._wake_all_mailboxes()
 
     # ------------------------------------------------------------------
     # machine creation / event delivery
@@ -320,16 +330,7 @@ class ProductionRuntime(RuntimeKernel):
                 "create_machine must run on the runtime's event loop "
                 "(create machines from the entry point or from handlers)"
             )
-        machine_id = super().create_machine(
-            machine_cls, *args, name=name, creator=creator, **kwargs
-        )
-        machine = self._machines[machine_id]
-        machine._prod_wakeup = asyncio.Event()
-        machine._prod_wakeup.set()  # the StartEvent is already queued
-        self._mailbox_tasks[machine_id.value] = self._loop.create_task(
-            self._mailbox(machine), name=f"mailbox-{machine_id}"
-        )
-        return machine_id
+        return super().create_machine(machine_cls, *args, name=name, creator=creator, **kwargs)
 
     def send_event(self, target: MachineId, event: Event, sender: Optional[MachineId] = None) -> None:
         if not isinstance(event, Event):
@@ -387,54 +388,51 @@ class ProductionRuntime(RuntimeKernel):
             else:
                 self._sink.append(("dropped {}: {!r} (target halted)", target, event))
             return
-        machine._enqueue(event)  # inbox append + pending counts + wake-up
+        machine._enqueue(event)  # inbox append + pending counts + run queue
         if sender is not None:
             self._sink.append(("sent {} -> {}: {!r}", sender, target, event))
         else:
             self._sink.append(("sent {}: {!r}", target, event))
 
     # ------------------------------------------------------------------
-    # mailbox tasks
+    # the pump
     # ------------------------------------------------------------------
-    async def _mailbox(self, machine: Machine) -> None:
-        wakeup = machine._prod_wakeup
-        try:
-            while True:
-                if self._stopping or machine._halted:
-                    return
+    def _pump(self) -> None:
+        self.loop_turns += 1
+        queue = self._run_queue
+        budget = _PUMP_SLICE
+        while queue and budget and not self._stopping:
+            budget -= 1
+            machine = queue.popleft()
+            if machine._has_work():
+                try:
+                    self._dispatch_once(machine)
+                except MachineHaltRequested:
+                    self._halt_machine(machine)
+                except BugError as error:
+                    self._record_bug(error)
+                    break
+                except FrameworkError as error:
+                    self._fail(error)
+                    break
+                except Exception as exc:
+                    error = UnexpectedExceptionError(
+                        f"{machine.id}: unexpected {type(exc).__name__}: {exc}"
+                    )
+                    error.__cause__ = exc
+                    self._record_bug(error)
+                    break
+                # One event, then back to the tail: every other runnable
+                # machine interleaves at event granularity — the production
+                # analogue of a scheduling point after each dispatch.
                 if machine._has_work():
-                    try:
-                        self._dispatch_once(machine)
-                    except MachineHaltRequested:
-                        self._halt_machine(machine)
-                    except BugError as error:
-                        self._record_bug(error)
-                        return
-                    except FrameworkError as error:
-                        self._fail(error)
-                        return
-                    except Exception as exc:
-                        error = UnexpectedExceptionError(
-                            f"{machine.id}: unexpected {type(exc).__name__}: {exc}"
-                        )
-                        error.__cause__ = exc
-                        self._record_bug(error)
-                        return
-                    # One event per iteration, then a cooperative yield, so
-                    # every other runnable machine interleaves at event
-                    # granularity — the production analogue of a scheduling
-                    # point after each dispatch.
-                    await asyncio.sleep(0)
-                else:
-                    wakeup.clear()
-                    # Single-threaded loop: nothing can have enqueued between
-                    # the _has_work check and the clear, but a cheap recheck
-                    # keeps this robust if a handler ever runs off-loop.
-                    if machine._has_work() or machine._halted or self._stopping:
-                        continue
-                    await wakeup.wait()
-        except asyncio.CancelledError:
-            return
+                    queue.append(machine)
+                    continue
+            machine._enabled = False
+        if queue and not self._stopping:
+            self._loop.call_soon(self._pump)
+        else:
+            self._pump_scheduled = False
 
     def _dispatch_once(self, machine: Machine) -> None:
         self.step_count += 1
@@ -456,9 +454,6 @@ class ProductionRuntime(RuntimeKernel):
         timer_task = self._timer_tasks.pop(machine._id.value, None)
         if timer_task is not None:
             timer_task.cancel()
-        wakeup = getattr(machine, "_prod_wakeup", None)
-        if wakeup is not None:
-            wakeup.set()  # let the mailbox task observe the halt and exit
 
     # ------------------------------------------------------------------
     # wall-clock timer service
@@ -513,18 +508,21 @@ class ProductionRuntime(RuntimeKernel):
     # quiescence probing
     # ------------------------------------------------------------------
     async def _probe_quiescent(self) -> bool:
-        # Runs on the loop, so every mailbox task is parked at an await
-        # point: per-machine _has_work is exact here.  Live wall-clock timer
-        # tasks are future event sources, so the system is not quiescent
-        # while any survive (they end on max_ticks/StopTimer/halt).
+        # Runs on the loop between pump turns, so per-machine _has_work is
+        # exact here.  Live wall-clock timer tasks are future event sources,
+        # so the system is not quiescent while any survive (they end on
+        # max_ticks/StopTimer/halt).
         if self._stopping:
             return True
-        if self._external_inflight:
+        if self._run_queue or self._external_inflight:
             return False
-        for task in self._timer_tasks.values():
-            if not task.done():
-                return False
+        if not all(task.done() for task in self._timer_tasks.values()):
+            return False
         for machine in self._machines.values():
-            if not machine._halted and machine._has_work():
-                return False
+            if machine._has_work():
+                self._fail(FrameworkError(
+                    f"{machine.id} has work but is not on the run queue "
+                    f"(lost wake-up: the has-work-implies-queued invariant is broken)"
+                ))
+                break  # join() sees the failure and reports "stopped"
         return True

@@ -211,6 +211,7 @@ def test_serve_boots_service_under_production_runtime(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "under ProductionRuntime" in out
+    assert "events/turn over" in out
     assert "clean shutdown, no monitor violations" in out
 
 
@@ -228,6 +229,11 @@ def test_serve_json_stats_and_expect_events(capsys):
     assert stats["events_dispatched"] >= 500
     assert stats["active_machines"] >= 8
     assert stats["events_per_second"] > 0
+    # Every pump turn dispatches at least one event; well above 1 means the
+    # run queue is batching dispatches into loop turns.
+    assert stats["loop_turns"] >= 1
+    assert stats["events_per_turn"] >= 1
+    assert stats["events_per_turn"] == stats["events_dispatched"] / stats["loop_turns"]
 
 
 def test_serve_rejects_json_with_verbose(capsys):
