@@ -99,6 +99,15 @@ _BENIGN_SELF_VERBS = frozenset(
     {"log", "random", "random_integer", "choose", "assert_that"}
 )
 
+#: the kernel-surface spelling (``self._runtime.<name>``) of those calls,
+#: which the modeled timer's loop uses to skip the Machine wrapper frames
+_RUNTIME_VERBS = {
+    "send_event": "send",
+    "next_boolean": "random",
+    "count_pending_events": "count_pending",
+    "has_pending_event": "count_pending",
+}
+
 #: builtins a handler may call without leaving the event-level model (pure
 #: value computation or fresh-container construction; identity-compared)
 _BENIGN_CALLABLES = (
@@ -174,6 +183,16 @@ def _is_runtime_attr(node: ast.AST) -> bool:
         and node.value.value.id == "self"
         and node.value.attr in ("_runtime", "runtime")
     )
+
+
+def _framework_verb(func: ast.AST) -> Optional[str]:
+    """The ``self.<verb>`` that a call on ``self`` or on the runtime spells
+    (``""`` for a runtime method the model cannot name); else ``None``."""
+    if _is_self_attr(func):
+        return func.attr
+    if _is_runtime_attr(func):
+        return _RUNTIME_VERBS.get(func.attr, "")
+    return None
 
 
 _PLAIN_CTOR_CACHE: Dict[type, bool] = {}
@@ -1316,11 +1335,7 @@ def _extract_function(
             # a deferred body: any framework effect inside it would run at an
             # unpredictable time, outside this dispatch's footprint
             for inner in ast.walk(node):
-                if (
-                    isinstance(inner, ast.Call)
-                    and _is_self_attr(inner.func)
-                    and inner.func.attr in _EFFECT_VERBS
-                ):
+                if isinstance(inner, ast.Call) and _framework_verb(inner.func) in _EFFECT_VERBS:
                     external = True
             continue
         if isinstance(node, ast.For):
@@ -1329,8 +1344,7 @@ def _extract_function(
             )
             if unordered and any(
                 isinstance(inner, ast.Call)
-                and _is_self_attr(inner.func)
-                and inner.func.attr in _EFFECT_VERBS
+                and _framework_verb(inner.func) in _EFFECT_VERBS
                 and id(inner) not in skipped_nodes
                 for stmt in node.body
                 for inner in ast.walk(stmt)
@@ -1365,8 +1379,8 @@ def _extract_function(
                 model.alias_mutations.append(
                     AliasMutation(key=key, method=method, ref=ref)
                 )
-        if _is_self_attr(func):
-            verb = func.attr
+        verb = _framework_verb(func)
+        if verb is not None:
             if verb == "send":
                 if len(node.args) < 2:
                     external = True
@@ -1463,25 +1477,13 @@ def _extract_function(
                 )
             elif verb in _BENIGN_SELF_VERBS:
                 pass
+            elif not verb:
+                external = True
             else:
                 # ``self.helper(...)``: an own method (followed through the
                 # call graph) or something we cannot name — the independence
                 # layer degrades unresolvable entries to external
                 model.method_calls.setdefault(method, set()).add(verb)
-        elif _is_runtime_attr(func):
-            if func.attr in ("has_pending_event", "count_pending_events") and node.args:
-                model.queries.append(
-                    QuerySite(
-                        target_expr=_target_expr_of(
-                            node.args[0], scope, container_attrs, member_locals,
-                            event_param_stable,
-                        ),
-                        method=method,
-                        ref=ref,
-                    )
-                )
-            else:
-                external = True
         elif isinstance(func, ast.Attribute):
             receiver = func.value
             confined = (

@@ -364,6 +364,9 @@ class StateMachineSpec:
     _resolution_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: memoized ``stack tuple -> StateContext``, shared across instances.
     _context_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: ``(initial state, its StateContext)`` every new machine instance starts
+    #: from; set once per class by ``Machine.spec()``.
+    start: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def states(self) -> set:

@@ -93,6 +93,9 @@ class Machine:
     def __init__(self, runtime: "RuntimeKernel", machine_id: MachineId) -> None:
         self._runtime = runtime
         self._id = machine_id
+        #: the trace record of "this machine was scheduled", built by the
+        #: first step that schedules it and shared by every later one.
+        self._schedule_step = None
         self._inbox: deque[Event] = deque()
         #: per-event-type tallies of the inbox contents, maintained at every
         #: enqueue/dequeue so type-only pending queries are O(#types), not
@@ -105,22 +108,19 @@ class Machine:
         #: maintained by the runtime and by :meth:`_enqueue`.
         self._enabled = False
         #: per-instance handle on the (class-cached) spec, so dispatch and
-        #: transitions skip a dict lookup per event.
-        spec = type(self).spec()
-        self._spec = spec
+        #: transitions skip a dict lookup per event; the classification
+        #: context for the current stack (shared per class, cached per stack
+        #: tuple) is swapped by the runtime on every transition.
+        spec = self._spec = type(self).spec()
+        initial, self._state_ctx = spec.start
         #: P#-style state stack (bottom .. top); ``goto`` replaces the top,
-        #: ``push_state``/``pop_state`` grow and shrink it.  The DSL-declared
-        #: initial state wins over the legacy ``initial_state`` string.
-        initial = spec.initial_state if spec.initial_state is not None else type(self).initial_state
+        #: ``push_state``/``pop_state`` grow and shrink it.
         self._state_stack = [initial]
         #: mirror of ``_state_stack[-1]`` (dispatch reads it once per event).
         self._current_state = initial
         #: monotonic count of goto/push/pop transitions; lets machine start-up
         #: tell "never left the initial state" from "left and came back".
         self._transition_count = 0
-        #: classification context for the current stack (shared per class,
-        #: cached per stack tuple); the runtime swaps it on every transition.
-        self._state_ctx = spec.context_for((initial,))
         #: local high-priority queue filled by :meth:`raise_event`; drained
         #: before the inbox and never subject to defer/ignore disciplines.
         self._raised: deque[Event] = deque()
@@ -137,6 +137,9 @@ class Machine:
         cached = Machine._spec_cache.get(cls)
         if cached is None:
             cached = build_spec(cls)
+            # The DSL-declared initial state wins over the legacy string.
+            initial = cached.initial_state if cached.initial_state is not None else cls.initial_state
+            cached.start = (initial, cached.context_for((initial,)))
             Machine._spec_cache[cls] = cached
         return cached
 

@@ -72,6 +72,15 @@ LogRecord = Tuple[Any, ...]
 _CONTROL_EVENTS = (Halt, StartEvent)
 
 
+def _subclass_queued(counts: dict, event_type: type) -> bool:
+    """Miss path of the pending queries' type test (``counts`` keys are exact
+    event classes, so the callers probe ``event_type in counts`` first)."""
+    for queued_type in counts:
+        if issubclass(queued_type, event_type):
+            return True
+    return False
+
+
 def format_log_record(record: LogRecord) -> str:
     """Materialize one deferred log record into its final string."""
     return record[0].format(*record[1:]) if len(record) > 1 else record[0]
@@ -315,25 +324,21 @@ class RuntimeKernel:
         Type-only queries read the per-``(machine, event type)`` counts the
         inbox bookkeeping maintains, so their cost is bounded by the number
         of *distinct* queued event types, never by the inbox length.
-        Predicate queries still scan, but return immediately when the counts
-        show no event of a matching type at all.
+        Predicate queries probe then scan: one ``event_type in counts``
+        lookup (a subclass walk over the counts only when that misses) rules
+        the type out before the inbox is touched.
         """
         machine = self._machines_by_value.get(target.value)
         if machine is None:
             return 0
         counts = machine._pending_counts
-        if not counts:
-            return 0
         if predicate is None:
             total = 0
             for queued_type, count in counts.items():
                 if queued_type is event_type or issubclass(queued_type, event_type):
                     total += count
             return total
-        if not any(
-            queued_type is event_type or issubclass(queued_type, event_type)
-            for queued_type in counts
-        ):
+        if event_type not in counts and not _subclass_queued(counts, event_type):
             return 0
         count = 0
         for event in machine._inbox:
@@ -347,22 +352,17 @@ class RuntimeKernel:
         Early-exit variant of :meth:`count_pending_events` for callers that
         only need existence (e.g. the modeled timer's one-outstanding-tick
         rule).  Type-only queries are answered from the maintained pending
-        counts without touching the inbox; predicate queries scan but stop
-        at the first match (and skip the scan entirely when the counts rule
-        the type out).
+        counts without touching the inbox; predicate queries make the same
+        probe first, then scan and stop at the first match.
         """
         machine = self._machines_by_value.get(target.value)
         if machine is None:
             return False
         counts = machine._pending_counts
-        if not counts:
+        if event_type not in counts and not _subclass_queued(counts, event_type):
             return False
-        matched_type = any(
-            queued_type is event_type or issubclass(queued_type, event_type)
-            for queued_type in counts
-        )
-        if predicate is None or not matched_type:
-            return matched_type
+        if predicate is None:
+            return True
         for event in machine._inbox:
             if isinstance(event, event_type) and predicate(event):
                 return True

@@ -37,6 +37,20 @@ executions that find no bug:
   machine's :class:`~repro.core.declarations.StateContext`, which memoizes
   the ``event_type -> handler | DEFER | IGNORE`` classification per state
   stack, so dispatch stops re-walking the handler table for every event.
+* **Cached schedule records.**  A machine's schedule :class:`TraceStep` never
+  changes and is immutable, so the machine carries one (built by the first
+  step that schedules it, so a short execution never builds more records than
+  it appends) and every later step appends that object; likewise the
+  initial state and its ``StateContext`` are resolved once per machine
+  *class* (``spec.start``).
+* **Int-keyed PCT priorities.**  The choosers run once per step: PCT keys
+  its table by ``MachineId.value`` (C-level hash) and finds the first-maximal
+  machine in one loop with no key function; random inlines ``randrange``'s
+  reject loop.  Same winners, same RNG consumption.
+* **Probe-then-scan pending queries.**  ``has_pending_event`` /
+  ``count_pending_events`` rule a type in or out with one ``in`` probe of the
+  per-type counts (a subclass walk only on a miss) before any inbox scan; the
+  modeled timer, which asks every round, calls the runtime directly.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ from .kernel import _CONTROL_EVENTS, BugInfo, RuntimeKernel
 
 #: ``tuple.__new__`` bound once: constructing a TraceStep through it skips
 #: the generated NamedTuple ``__new__`` (a Python-level function) while
-#: producing an identical object; used at the per-step trace-record sites.
+#: producing an identical object; used at the per-choice trace-record sites.
 _new_step = tuple.__new__
 
 
@@ -271,12 +285,18 @@ class TestRuntime(RuntimeKernel):
                     f"strategy chose disabled machine {chosen_id}; "
                     f"enabled machines: {[str(mid) for mid in enabled_ids]}"
                 )
-            # Inlined trace.add_scheduling_choice; _str is the cached str(),
-            # and tuple.__new__ skips the NamedTuple __new__ wrapper.  The
-            # dispatch state (top of the machine's state stack) is recorded
-            # in the parallel ``states`` list so bug reports can show state
-            # context per scheduling step.
-            trace_steps_append(_new_step(TraceStep, (SCHEDULE, chosen_id.value, chosen_id._str)))
+            # Inlined trace.add_scheduling_choice: a machine's schedule
+            # record never changes and TraceStep is immutable, so every step
+            # shares the one the machine's first step built.  The dispatch state (top
+            # of the machine's state stack) is recorded in the parallel
+            # ``states`` list so bug reports can show state context per
+            # scheduling step.
+            step = machine._schedule_step
+            if step is None:
+                step = machine._schedule_step = _new_step(
+                    TraceStep, (SCHEDULE, chosen_id.value, chosen_id._str)
+                )
+            trace_steps_append(step)
             trace_states_append(machine._current_state)
             # step_count is mirrored back to the instance before any user
             # code can observe it (next_boolean/next_integer read it).

@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..config import TestingConfig
 
 
+#: drawn priorities lie in [0, 1) and demoted ones are -1.0, -2.0, ...
+_BELOW_EVERY_PRIORITY = float("-inf")
+
+
 @register_strategy("pct", "priority")
 class PCTStrategy(SchedulingStrategy):
     """Priority-based scheduling with random priority change points."""
@@ -49,7 +53,9 @@ class PCTStrategy(SchedulingStrategy):
         self.expected_length = max(1, expected_length)
         self.fair_suffix_start = fair_suffix_start
         self._rng = random.Random(seed)
-        self._priorities: Dict[MachineId, float] = {}
+        #: keyed by ``MachineId.value``: an int hashes in C, a MachineId
+        #: calls back into Python (once per enabled machine per step).
+        self._priorities: Dict[int, float] = {}
         self._change_points: List[int] = []
         self._low_priority_counter = 0
 
@@ -89,29 +95,36 @@ class PCTStrategy(SchedulingStrategy):
         self._change_points = sorted(points)
 
     # ------------------------------------------------------------------
-    def _priority_of(self, machine: MachineId) -> float:
-        if machine not in self._priorities:
-            self._priorities[machine] = self._rng.random()
-        return self._priorities[machine]
-
-    def _in_fair_suffix(self, step: int) -> bool:
-        return self.fair_suffix_start is not None and step >= self.fair_suffix_start
-
     def next_machine(self, enabled: Sequence[MachineId], step: int) -> MachineId:
-        if self._in_fair_suffix(step):
+        fair_start = self.fair_suffix_start
+        if fair_start is not None and step >= fair_start:
             return enabled[self._rng.randrange(len(enabled))]
-        chosen = max(enabled, key=self._priority_of)
-        # Steps are a shared counter with boolean/integer choices, so several
-        # change points can drift past between two scheduling points.  Drain
-        # every stale point now — popping only one per call would smear the
-        # remaining demotions onto arbitrary later steps.
-        while self._change_points and step >= self._change_points[0]:
-            self._change_points.pop(0)
+        priorities = self._priorities
+        change_points = self._change_points
+        while True:
+            # First machine of maximal priority, a new machine drawing its
+            # priority as the scan reaches it: the winner and RNG consumption
+            # of ``max(enabled, key=draw_if_missing)`` without the key calls.
+            chosen = None
+            highest = _BELOW_EVERY_PRIORITY
+            for machine in enabled:
+                priority = priorities.get(machine.value)
+                if priority is None:
+                    priority = priorities[machine.value] = self._rng.random()
+                if priority > highest:
+                    chosen = machine
+                    highest = priority
+            # Steps are a shared counter with boolean/integer choices, so
+            # several change points can drift past between two scheduling
+            # points.  Drain every stale point now — popping only one per
+            # call would smear the remaining demotions onto arbitrary later
+            # steps.
+            if not change_points or step < change_points[0]:
+                return chosen
+            change_points.pop(0)
             # Demote the chosen machine below everything seen so far.
             self._low_priority_counter += 1
-            self._priorities[chosen] = -float(self._low_priority_counter)
-            chosen = max(enabled, key=self._priority_of)
-        return chosen
+            priorities[chosen.value] = -float(self._low_priority_counter)
 
     def next_boolean(self, requester: MachineId, step: int) -> bool:
         return self._rng.random() < 0.5

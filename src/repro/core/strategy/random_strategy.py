@@ -29,17 +29,24 @@ class RandomStrategy(SchedulingStrategy):
 
     def _reseed(self, rng: random.Random) -> None:
         self._rng = rng
-        # next_machine runs once per scheduling step; Random._randbelow is
-        # what randrange(n) delegates to (same value sequence, same RNG
-        # consumption) minus the argument-normalization wrapper.
+        # Random._randbelow is what randrange(n) delegates to (same value
+        # sequence, same RNG consumption) minus the argument-normalization
+        # wrapper; next_machine, run once per step, also inlines its loop.
         self._randbelow = rng._randbelow
+        self._getrandbits = rng.getrandbits
         self._random = rng.random
 
     def prepare_iteration(self, iteration: int) -> None:
         self._reseed(random.Random(f"{self.seed}:{iteration}"))
 
     def next_machine(self, enabled: Sequence[MachineId], step: int) -> MachineId:
-        return enabled[self._randbelow(len(enabled))]
+        count = len(enabled)
+        bits = count.bit_length()  # not (count - 1): count == 1 draws too
+        getrandbits = self._getrandbits
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        return enabled[index]
 
     def next_boolean(self, requester: MachineId, step: int) -> bool:
         return self._random() < 0.5

@@ -81,12 +81,15 @@ class TimerMachine(Machine):
         # not observed yet is not duplicated (mirroring a periodic timer),
         # which also stops unfair scheduling prefixes from flooding the
         # target's inbox with redundant timeouts.
+        # This handler is most of the steps of a timer-driven hunt, so it
+        # skips the Machine.send/random wrapper frames; the analyzer reads
+        # ``self._runtime.<call>`` (spelled out) as the same effects.
         if not self._runtime.has_pending_event(
             self.target, TimerTick, self._tick_predicate
-        ) and (self.always_fire or self.random()):
-            self.send(self.target, TimerTick(self.timer_name))
+        ) and (self.always_fire or self._runtime.next_boolean(self._id)):
+            self._runtime.send_event(self.target, TimerTick(self.timer_name), self._id)
         if self.max_ticks is None or self.rounds < self.max_ticks:
-            self.send(self._id, self._loop_event)
+            self._runtime.send_event(self._id, self._loop_event, self._id)
 
     @on_event(StopTimer)
     def stop(self) -> None:
@@ -104,5 +107,7 @@ class TimerMachine(Machine):
             self.rounds = 0
             if self._runtime.wall_clock:
                 self._runtime.start_wall_clock_timer(self)
-            else:
-                self.send(self.id, _TimerLoop())
+            elif not self._runtime.has_pending_event(self._id, _TimerLoop):
+                # A stop/start pair can overtake the in-flight loop event;
+                # that one resumes the loop, a second would double the rate.
+                self.send(self._id, self._loop_event)

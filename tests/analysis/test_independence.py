@@ -122,6 +122,35 @@ class CleanSelfSender(Machine):
             self.send(self.id, Poke())
 
 
+class KernelSurfaceSender(Machine):
+    """The same send and choice spelled on the runtime, as the modeled
+    timer's hot loop does to skip the Machine wrapper frames."""
+
+    class Only(State, initial=True):
+        @on_event(Poke)
+        def echo(self) -> None:
+            if self._runtime.next_boolean(self._id):
+                self._runtime.send_event(self.id, Poke(), self._id)
+
+
+class AliasedRuntimeSender(Machine):
+    """Only the spelled-out ``self._runtime.<call>`` is read as a framework
+    call; through a local alias the receiver is an unknown object."""
+
+    class Only(State, initial=True):
+        @on_event(Poke)
+        def echo(self) -> None:
+            runtime = self._runtime
+            runtime.send_event(self.id, Poke(), self._id)
+
+
+class RuntimeInternalsCaller(Machine):
+    class Only(State, initial=True):
+        @on_event(Poke)
+        def meddle(self) -> None:
+            self._runtime.machine_instance(self.id)
+
+
 class HelperFieldSender(Machine):
     """Reads the target off the event payload — but in a *helper* method,
     whose second argument is not necessarily the dispatched event, so the
@@ -154,6 +183,15 @@ def test_self_send_stays_concrete():
     entry = _entry_for(CleanSelfSender)
     assert entry["writes"] == ["self"]
     assert entry["creates"] is False
+
+
+def test_kernel_surface_spelling_is_the_same_footprint():
+    assert _entry_for(KernelSurfaceSender) == _entry_for(CleanSelfSender)
+
+
+def test_aliased_or_unnamed_runtime_calls_degrade_to_opaque():
+    assert _entry_for(AliasedRuntimeSender) == {"opaque": True}
+    assert _entry_for(RuntimeInternalsCaller) == {"opaque": True}
 
 
 def test_event_field_in_helper_method_degrades_to_opaque():

@@ -278,6 +278,92 @@ def test_count_pending_events():
     assert runtime2.count_pending_events(sink_id, Note, lambda e: e.value == 1) == 1
 
 
+class LoudNote(Note):
+    """A Note subclass: queued under its own exact type in the counts."""
+
+
+class Sink(Machine):
+    ignore_unhandled_events = True
+
+
+def _sink_with(*events):
+    runtime = make_runtime(max_steps=5)
+    sink = runtime.create_machine(Sink)
+    for event in events:
+        runtime.send_event(sink, event)
+    return runtime, sink
+
+
+def _pending(runtime, target, event_type, predicate=None):
+    """Both queries, which must agree on existence."""
+    count = runtime.count_pending_events(target, event_type, predicate)
+    assert runtime.has_pending_event(target, event_type, predicate) == (count > 0)
+    return count
+
+
+def test_pending_query_finds_a_subclass_when_the_exact_type_is_absent():
+    runtime, sink = _sink_with(LoudNote(1), Ping(None))
+    assert _pending(runtime, sink, Note) == 1
+    assert _pending(runtime, sink, Note, lambda e: e.value == 1) == 1
+    assert _pending(runtime, sink, Pong) == 0
+    assert _pending(runtime, sink, Pong, lambda e: True) == 0
+
+
+def test_pending_query_counts_exact_type_and_subclass_together():
+    runtime, sink = _sink_with(Note(1), LoudNote(1), LoudNote(2))
+    assert _pending(runtime, sink, Note) == 3
+    assert _pending(runtime, sink, Note, lambda e: e.value == 1) == 2
+    assert _pending(runtime, sink, LoudNote) == 2
+
+
+def test_pending_query_predicate_rejecting_everything():
+    runtime, sink = _sink_with(Note(1), LoudNote(2))
+    seen = []
+    assert _pending(runtime, sink, Note, lambda e: seen.append(e.value)) == 0
+    assert seen == [1, 2, 1, 2]  # each query scanned the whole inbox once
+
+
+def test_pending_query_on_halted_and_unknown_targets():
+    runtime, sink = _sink_with(Note(1))
+    other = make_runtime()
+    for _ in range(3):
+        stranger = other.create_machine(Sink)
+    assert _pending(runtime, stranger, Note) == 0
+    assert _pending(runtime, stranger, Note, lambda e: True) == 0
+    runtime.send_event(sink, Halt())
+    runtime.run(lambda rt: None)
+    assert runtime.machine_instance(sink).is_halted
+    assert _pending(runtime, sink, Note) == 0
+    assert _pending(runtime, sink, Event, lambda e: True) == 0
+
+
+def test_pending_query_from_inside_a_handler_of_the_target():
+    class Introspector(Machine):
+        @on_event(Note)
+        def on_note(self, event):
+            # The event being handled has left the inbox; the rest has not.
+            self.seen.append((
+                self.count_pending(self.id, Note),
+                self.count_pending(self.id, Note, lambda e: e.value > event.value),
+                self._runtime.has_pending_event(self.id, LoudNote),
+            ))
+
+        def on_start(self):
+            self.seen = []
+
+    runtime = make_runtime(max_steps=10)
+
+    def entry(rt):
+        target = rt.create_machine(Introspector)
+        for event in (Note(1), LoudNote(3), Note(2)):
+            rt.send_event(target, event)
+
+    assert runtime.run(entry) is None
+    assert runtime.machines_of_type(Introspector)[0].seen == [
+        (2, 2, True), (1, 0, False), (0, 0, False),
+    ]
+
+
 def test_pause_yield_keeps_machine_runnable():
     class Stepper(Machine):
         def on_start(self, steps):

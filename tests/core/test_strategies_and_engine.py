@@ -265,7 +265,7 @@ def test_pct_drains_drifted_change_points_in_one_call():
     strategy.next_machine(enabled, 50)  # drifted past both
     assert strategy._change_points == []
     # both demotions happened: two machines now carry sub-zero priorities
-    demoted = [m for m in enabled if strategy._priorities.get(m, 1.0) < 0]
+    demoted = [m for m in enabled if strategy._priorities.get(m.value, 1.0) < 0]
     assert len(demoted) == 2
 
 
@@ -279,7 +279,7 @@ def test_pct_demotion_schedule_regression():
     # the machine holding the highest initial priority was demoted below
     # everything, so it is never chosen again while others are enabled
     later = {strategy.next_machine(enabled, step) for step in range(1, 10)}
-    demoted = [m for m, p in strategy._priorities.items() if p < 0]
+    demoted = [m for m in enabled if strategy._priorities[m.value] < 0]
     assert len(demoted) == 1
     assert demoted[0] not in later
     assert first != demoted[0] or first not in later

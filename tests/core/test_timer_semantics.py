@@ -11,8 +11,8 @@ bounds tick delivery in every explored execution.
 
 from repro.core import TestingConfig, TestRuntime, TimerMachine, TimerTick, on_event
 from repro.core.machine import Machine
-from repro.core.strategy import DFSStrategy
-from repro.core.timer import StopTimer
+from repro.core.strategy import DFSStrategy, RoundRobinStrategy
+from repro.core.timer import StartTimer, StopTimer, _TimerLoop
 
 
 class _StopRacer(Machine):
@@ -114,3 +114,51 @@ def test_always_fire_max_ticks_exact_bound():
     assert all(machine.ticks <= 3 for machine in outcomes)
     # With always_fire, some schedule lets the timer use its full budget.
     assert any(machine.ticks == 3 for machine in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# StartTimer: exactly one loop event, however the restart races the loop
+# ---------------------------------------------------------------------------
+class _Restarter(Machine):
+    """Creates a free-running timer and sends it ``script`` straight away."""
+
+    ignore_unhandled_events = True
+
+    def on_start(self, script):
+        self.timer = self.create(TimerMachine, self.id)
+        for event_cls in script:
+            self.send(self.timer, event_cls())
+
+
+def _run_restarter(script, steps):
+    strategy = RoundRobinStrategy()
+    strategy.prepare_iteration(0)
+    runtime = TestRuntime(strategy, TestingConfig(max_steps=steps))
+    assert runtime.run(lambda rt: rt.create_machine(_Restarter, script)) is None
+    return runtime, runtime.machines_of_type(TimerMachine)[0]
+
+
+def test_stop_start_overtaking_the_loop_event_keeps_one_loop():
+    # The timer's inbox is [StartEvent, StopTimer, StartTimer]: on_start
+    # queues the loop event *behind* the pair, so the restart is handled
+    # while that loop event is still in flight.  A second one would stay
+    # queued forever and double the timer's rate.
+    runtime, timer = _run_restarter((StopTimer, StartTimer), steps=40)
+    assert timer.active
+    assert runtime.count_pending_events(timer.id, _TimerLoop) == 1
+    _, free_running = _run_restarter((), steps=40)
+    assert 0 < timer.rounds <= free_running.rounds
+
+
+def test_start_after_the_loop_drained_rearms_it():
+    # Here the loop event is consumed while the timer is stopped (run_loop
+    # returns without re-sending), so the restart has to send a new one.
+    runtime, timer = _run_restarter((StopTimer,), steps=40)
+    assert runtime.termination_reason == "quiescence"
+    assert not timer.active
+    assert runtime.count_pending_events(timer.id, _TimerLoop) == 0
+    runtime.send_event(timer.id, StartTimer())
+    runtime._execution_loop()
+    assert runtime.termination_reason == "bound"
+    assert timer.active and timer.rounds > 0
+    assert runtime.count_pending_events(timer.id, _TimerLoop) == 1
