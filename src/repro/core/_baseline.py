@@ -137,7 +137,7 @@ class BaselineRuntime(TestRuntime):
             self._halt_machine(machine)
             return
         if isinstance(event, StartEvent):
-            args, kwargs = getattr(machine, "_start_args", ((), {}))
+            args, kwargs = machine._start_args
             self.log("{}: starting", machine.id)
             result = machine.on_start(*args, **kwargs)
             self._maybe_start_coroutine(machine, result)

@@ -181,7 +181,7 @@ class TestingEngine:
                 report.state_space_exhausted = True
                 break
             runtime = self.runtime_cls(self.strategy, self.config, coverage=report.coverage)
-            bug = runtime.run(self.test_entry)
+            bug = runtime.run_and_release(self.test_entry)
             report.iterations_executed += 1
             if bug is not None:
                 report.bugs.append(bug)
@@ -253,8 +253,7 @@ class TestingEngine:
         """
         strategy = ReplayStrategy(trace, tolerant=tolerant)
         strategy.prepare_iteration(0)
-        runtime = self.runtime_cls(strategy, self.config)
-        return runtime.run(self.test_entry)
+        return self.runtime_cls(strategy, self.config).run_and_release(self.test_entry)
 
     def shrink_bug(self, bug: BugInfo) -> ShrinkResult:
         """Minimize ``bug``'s trace and attach ``shrunk_trace``/``shrink``."""

@@ -25,7 +25,8 @@ class Event:
         return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        public = [f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_")]
+        fields = ", ".join(public)
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other: object) -> bool:

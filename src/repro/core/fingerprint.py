@@ -793,7 +793,7 @@ class _MachineRecord:
 def _creation_prefix(machine: "Machine") -> "tuple[int, bool]":
     """``(_mix(identity hash, start-arguments hash), start_exact)``."""
     mid = machine._id
-    start = getattr(machine, "_start_args", ((), {}))
+    start = machine._start_args
     # Every schedule re-creates the same machines with the same arguments:
     # identity and arguments together are one memo key.
     tokens: List[Any] = [_CREATED]

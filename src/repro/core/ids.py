@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class MachineId:
     """Unique, hashable handle for a machine instance.
 
@@ -25,13 +25,15 @@ class MachineId:
     type_name: str = field(compare=False)
     name: str = field(compare=False, default="")
 
-    def __post_init__(self) -> None:
-        # Ids are stringified on the scheduling hot path (one trace label per
-        # step), so the printable form is built once.  The slot is set with
-        # object.__setattr__ because the dataclass is frozen.
-        label = self.name or self.type_name
-        object.__setattr__(self, "_str", f"{label}({self.value})")
-        object.__setattr__(self, "_hash", hash(self.value))
+    def __init__(self, value: int, type_name: str, name: str = "") -> None:
+        # One frame and one dict update per ``create_machine`` instead of the
+        # generated frozen ``__init__`` + ``__post_init__``; assignment still
+        # raises ``FrozenInstanceError``.  Ids are stringified once per
+        # scheduling step, so the printable form is built here, once.
+        label = f"{name or type_name}({value})"
+        self.__dict__.update(
+            value=value, type_name=type_name, name=name, _str=label, _hash=hash(value)
+        )
 
     def __str__(self) -> str:
         return self._str

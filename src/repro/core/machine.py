@@ -93,6 +93,8 @@ class Machine:
     def __init__(self, runtime: "RuntimeKernel", machine_id: MachineId) -> None:
         self._runtime = runtime
         self._id = machine_id
+        #: ``(args, kwargs)`` for ``on_start``; ``create_machine`` sets it.
+        self._start_args: tuple = ((), {})
         #: the trace record of "this machine was scheduled", built by the
         #: first step that schedules it and shared by every later one.
         self._schedule_step = None
@@ -110,8 +112,9 @@ class Machine:
         #: per-instance handle on the (class-cached) spec, so dispatch and
         #: transitions skip a dict lookup per event; the classification
         #: context for the current stack (shared per class, cached per stack
-        #: tuple) is swapped by the runtime on every transition.
-        spec = self._spec = type(self).spec()
+        #: tuple) is swapped by the runtime on every transition.  Only a
+        #: class's first instance needs the ``spec()`` frame.
+        spec = self._spec = Machine._spec_cache.get(self.__class__) or self.__class__.spec()
         initial, self._state_ctx = spec.start
         #: P#-style state stack (bottom .. top); ``goto`` replaces the top,
         #: ``push_state``/``pop_state`` grow and shrink it.

@@ -61,8 +61,8 @@ class Monitor:
         #: per-instance handle on the (class-cached) spec so event dispatch
         #: skips a dict lookup per notification.
         self._spec = spec
-        #: effective hot-state set: legacy class attribute plus DSL-declared.
-        self._hot_states = frozenset(type(self).hot_states) | spec.hot_states
+        #: effective hot-state set (see :meth:`spec`).
+        self._hot_states = spec.hot_states
         #: monotonic goto count; registration uses it to tell "never left the
         #: initial state" from "left and came back".
         self._transition_count = 0
@@ -79,12 +79,14 @@ class Monitor:
                     f"{states}): monitors are notified synchronously and cannot "
                     f"defer — drop with `ignored` or handle the event instead"
                 )
+            # effective hot-state set: legacy class attribute + DSL-declared
+            cached.hot_states = frozenset(cls.hot_states) | cached.hot_states
             Monitor._spec_cache[cls] = cached
         return cached
 
     @classmethod
     def is_liveness_monitor(cls) -> bool:
-        return bool(cls.hot_states) or bool(cls.spec().hot_states)
+        return bool(cls.spec().hot_states)
 
     # ------------------------------------------------------------------
     # state

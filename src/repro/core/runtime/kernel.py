@@ -268,23 +268,35 @@ class RuntimeKernel:
         """Instantiate ``machine_cls`` and schedule its asynchronous start."""
         if not (isinstance(machine_cls, type) and issubclass(machine_cls, Machine)):
             raise FrameworkError(f"create_machine expects a Machine subclass, got {machine_cls!r}")
-        machine_id = MachineId(self._next_machine_value, machine_cls.__name__, name)
-        self._next_machine_value += 1
+        type_name = machine_cls.__name__
+        value = self._next_machine_value
+        self._next_machine_value = value + 1
+        machine_id = MachineId(value, type_name, name)
         machine = machine_cls(self, machine_id)
         machine._start_args = (args, kwargs)
         self._machines[machine_id] = machine
-        self._machines_by_value[machine_id.value] = machine
+        self._machines_by_value[value] = machine
         # The tracker must know the machine before its StartEvent lands in
         # the inbox (the enqueue hook looks its record up).
-        if self._fingerprint is not None:
-            self._fingerprint.register_machine(machine)
-        machine._enqueue(StartEvent())
+        tracker = self._fingerprint
+        if tracker is not None:
+            tracker.register_machine(machine)
+        # Machine._enqueue, inlined for a machine known to be fresh (empty
+        # inbox, not halted, not in a receive).
+        start = StartEvent()
+        machine._inbox.append(start)
+        machine._pending_counts[StartEvent] = 1
+        if tracker is not None:
+            tracker.on_enqueue(machine, start)
+        ctx = machine._state_ctx
+        if ctx.plain or ctx.dequeuable(StartEvent):
+            self._mark_enabled(machine)
         if self.coverage is not None:
-            self.coverage.record_machine(machine_cls.__name__)
+            self.coverage.machines[type_name] += 1
         if creator is not None:
-            self.log("created {} by {}", machine_id, creator)
+            self._sink.append(("created {} by {}", machine_id, creator))
         else:
-            self.log("created {}", machine_id)
+            self._sink.append(("created {}", machine_id))
         return machine_id
 
     def register_monitor(self, monitor_cls: type) -> Monitor:
@@ -377,7 +389,8 @@ class RuntimeKernel:
     @property
     def execution_log(self) -> List[str]:
         """The execution log, materialized on demand (see :meth:`log`)."""
-        return [format_log_record(record) for record in self._log]
+        # format_log_record inlined (every recorded bug materializes its ring)
+        return [r[0].format(*r[1:]) if len(r) > 1 else r[0] for r in self._log]
 
     # ------------------------------------------------------------------
     # machine-facing services
@@ -555,7 +568,7 @@ class RuntimeKernel:
         if isinstance(event, Halt):
             self._halt_machine(machine)
             return
-        args, kwargs = getattr(machine, "_start_args", ((), {}))
+        args, kwargs = machine._start_args
         self._sink.append(("{}: starting", machine._id))
         initial = machine._current_state
         transitions_before = machine._transition_count
@@ -690,7 +703,7 @@ class RuntimeKernel:
         )
         if check_liveness:
             for monitor in self._monitors.values():
-                if type(monitor).is_liveness_monitor() and monitor.is_hot:
+                if monitor._current_state in monitor._hot_states:
                     self._record_bug(
                         LivenessViolationError(
                             f"liveness monitor {type(monitor).__name__} is still in hot state "

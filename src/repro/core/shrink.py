@@ -208,8 +208,7 @@ class Shrinker:
         """Tolerantly replay a candidate trace; returns the bug found, if any."""
         strategy = ReplayStrategy(ScheduleTrace(steps=list(steps)), tolerant=True)
         strategy.prepare_iteration(0)
-        runtime = self.runtime_cls(strategy, self.config)
-        return runtime.run(self.test_entry)
+        return self.runtime_cls(strategy, self.config).run_and_release(self.test_entry)
 
     def _try(
         self,

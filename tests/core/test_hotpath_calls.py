@@ -9,13 +9,22 @@ are not counted — and the count per scheduling step is held under a bound set
 the timer and the runtime, a key function in a chooser or a generator
 expression in a pending query each add 0.7–8 calls per step and fail here
 instead of drifting a benchmark.
+
+The execution boundary has the same kind of floor.  ``exhaust-dfs`` is 1 644
+six-step schedules re-created from the root, so its time is ``create_machine``
+× 7.5, ``StartEvent`` entry, bug recording and teardown, not steps: the second
+pair of tests bounds Python-level calls per re-created execution, and the
+collector-tracked objects an execution leaves for the cycle collector
+(``gc.DEBUG_SAVEALL``) — a back-pointer the release stops cutting, or a frame
+put back into ``create_machine``, fails here by name.
 """
 
+import gc
 import sys
 
 import pytest
 
-from repro.core import TestRuntime
+from repro.core import TestingEngine, TestRuntime
 from repro.core.registry import get_scenario, load_builtin_scenarios
 from repro.core.strategy import create_strategy
 
@@ -24,11 +33,8 @@ from repro.core.strategy import create_strategy
 MAX_CALLS_PER_STEP = {"random": 8.9, "pct": 10.3}
 
 
-def _run_counting_calls(testcase, config, counted):
-    strategy = create_strategy(config)
-    strategy.prepare_iteration(0)
-    runtime = TestRuntime(strategy, config)
-    entry = testcase.build()
+def _python_calls(thunk, counted=True):
+    """``(Python-level call events while thunk() ran, its result)``."""
     calls = 0
 
     def count_calls(frame, event, arg):
@@ -40,9 +46,18 @@ def _run_counting_calls(testcase, config, counted):
     if counted:
         sys.setprofile(count_calls)
     try:
-        bug = runtime.run(entry)
+        result = thunk()
     finally:
         sys.setprofile(previous)
+    return calls, result
+
+
+def _run_counting_calls(testcase, config, counted):
+    strategy = create_strategy(config)
+    strategy.prepare_iteration(0)
+    runtime = TestRuntime(strategy, config)
+    entry = testcase.build()
+    calls, bug = _python_calls(lambda: runtime.run(entry), counted)
     assert bug is None and runtime.step_count == config.max_steps
     return calls / runtime.step_count
 
@@ -59,4 +74,59 @@ def test_python_calls_per_scheduling_step_stay_under_the_floor(strategy_name):
     per_step = _run_counting_calls(testcase, config, counted=True)
     assert per_step <= MAX_CALLS_PER_STEP[strategy_name], (
         f"{per_step:.2f} Python-level calls per step under {strategy_name}"
+    )
+
+
+#: measured 201.1 (whole 1 644-schedule exhaust) when the bound was set; the
+#: execution path this replaced measured 271.2.
+MAX_CALLS_PER_EXECUTION = 222
+
+#: measured 17.2 when the bound was set (the harness's own ``ExtentManager ↔
+#: ModelNetworkEngine`` cycle, which the framework cannot break); before
+#: engine-owned runtimes were released it was 129.9.
+MAX_GARBAGE_PER_EXECUTION = 25
+
+
+def _exhaust_engine(iterations):
+    """``exhaust-dfs`` as the benchmark configures it, cut to ``iterations``."""
+    load_builtin_scenarios()
+    testcase = get_scenario("vnext/failover-1node")
+    config = testcase.default_config(
+        strategy="dfs", seed=0, iterations=iterations, max_steps=6,
+        stop_at_first_bug=False, max_bugs=None, max_log_records=16,
+    )
+    return TestingEngine(testcase.build(), config)
+
+
+def test_python_calls_per_recreated_execution_stay_under_the_floor():
+    _exhaust_engine(5).run()  # per-class specs and resolutions, as above
+    calls, report = _python_calls(_exhaust_engine(100000).run)
+    assert report.state_space_exhausted and report.iterations_executed == 1644
+    assert len(report.bugs) == 1644  # every execution records its bug
+    per_execution = calls / report.iterations_executed
+    assert per_execution <= MAX_CALLS_PER_EXECUTION, (
+        f"{per_execution:.1f} Python-level calls per re-created execution"
+    )
+
+
+def test_a_finished_execution_leaves_the_collector_only_the_harness_cycle():
+    _exhaust_engine(5).run()
+    engine = _exhaust_engine(50)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report = engine.run()
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert report.iterations_executed == 50
+    per_execution = garbage / 50
+    assert per_execution <= MAX_GARBAGE_PER_EXECUTION, (
+        f"{per_execution:.1f} collector-tracked garbage objects per execution"
     )
