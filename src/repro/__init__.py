@@ -14,34 +14,39 @@ The package provides:
 * :mod:`repro.experiments` — generators for Table 1 and Table 2.
 """
 
-from .core import (
-    Event,
-    Halt,
-    HuntReport,
-    Machine,
-    MachineId,
-    Monitor,
-    Portfolio,
-    ProductionRuntime,
-    Receive,
-    Shrinker,
-    State,
-    TestCase,
-    TestReport,
-    TestRuntime,
-    TestingConfig,
-    TestingEngine,
-    all_scenarios,
-    available_strategies,
-    get_scenario,
-    on_entry,
-    on_event,
-    on_exit,
-    register_strategy,
-    run_scenario,
-    run_test,
-    scenario,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core import (
+        Event,
+        Halt,
+        HuntReport,
+        Machine,
+        MachineId,
+        Monitor,
+        Portfolio,
+        ProductionRuntime,
+        Receive,
+        Shrinker,
+        State,
+        TestCase,
+        TestReport,
+        TestRuntime,
+        TestingConfig,
+        TestingEngine,
+        all_scenarios,
+        available_strategies,
+        get_scenario,
+        on_entry,
+        on_event,
+        on_exit,
+        register_strategy,
+        run_scenario,
+        run_test,
+        scenario,
+    )
 
 __version__ = "1.1.0"
 
@@ -74,3 +79,6 @@ __all__ = [
     "scenario",
     "__version__",
 ]
+
+# Every public name but ``__version__`` (last in ``__all__``) lives in ``repro.core``.
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {".core": " ".join(__all__[:-1])})

@@ -40,47 +40,52 @@ Run the analyzer via ``python -m repro analyze`` or programmatically::
 Diagnostics are suppressed inline with ``# repro: ignore[rule-id]``.
 """
 
-from .cache import CACHE_VERSION, AnalysisCache
-from .checkers import (
-    RULES,
-    check_unused_ignores,
-    is_handleable,
-    reachable_states,
-    run_checkers,
-)
-from .commgraph import CommGraph, GraphEdge, GraphNode, build_comm_graph
-from .dataflow import (
-    HandlerReads,
-    NondetFinding,
-    ProducerSite,
-    ProgramDataflow,
-    build_dataflow,
-    clear_dataflow_cache,
-    event_ctor_fields,
-    event_has_own_methods,
-)
-from .extract import (
-    build_program,
-    clear_model_cache,
-    discover_classes,
-    discover_event_types,
-    extract_machine_model,
-)
-from .independence import (
-    TABLE_VERSION,
-    build_independence_table,
-    footprint_for,
-    independence_for_classes,
-    type_key,
-)
-from .model import MachineModel, ProgramModel, QuerySite, SourceRef
-from .report import ERROR, WARNING, AnalysisReport, Diagnostic
-from .runner import (
-    analyze_classes,
-    analyze_scenarios,
-    graph_for_scenarios,
-    independence_for_scenarios,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .cache import CACHE_VERSION, AnalysisCache
+    from .checkers import (
+        RULES,
+        check_unused_ignores,
+        is_handleable,
+        reachable_states,
+        run_checkers,
+    )
+    from .commgraph import CommGraph, GraphEdge, GraphNode, build_comm_graph
+    from .dataflow import (
+        HandlerReads,
+        NondetFinding,
+        ProducerSite,
+        ProgramDataflow,
+        build_dataflow,
+        clear_dataflow_cache,
+        event_ctor_fields,
+        event_has_own_methods,
+    )
+    from .extract import (
+        build_program,
+        clear_model_cache,
+        discover_classes,
+        discover_event_types,
+        extract_machine_model,
+    )
+    from .independence import (
+        TABLE_VERSION,
+        build_independence_table,
+        footprint_for,
+        independence_for_classes,
+        type_key,
+    )
+    from .model import MachineModel, ProgramModel, QuerySite, SourceRef
+    from .report import ERROR, WARNING, AnalysisReport, Diagnostic
+    from .runner import (
+        analyze_classes,
+        analyze_scenarios,
+        graph_for_scenarios,
+        independence_for_scenarios,
+    )
 
 __all__ = [
     "AnalysisCache",
@@ -125,3 +130,24 @@ __all__ = [
     "run_checkers",
     "type_key",
 ]
+
+_SUBMODULES = {
+    ".cache": "CACHE_VERSION AnalysisCache",
+    ".checkers": "RULES check_unused_ignores is_handleable reachable_states run_checkers",
+    ".commgraph": "CommGraph GraphEdge GraphNode build_comm_graph",
+    ".dataflow": (
+        "HandlerReads NondetFinding ProducerSite ProgramDataflow build_dataflow "
+        "clear_dataflow_cache event_ctor_fields event_has_own_methods"
+    ),
+    ".extract": (
+        "build_program clear_model_cache discover_classes discover_event_types "
+        "extract_machine_model"
+    ),
+    ".independence": (
+        "TABLE_VERSION build_independence_table footprint_for independence_for_classes type_key"
+    ),
+    ".model": "MachineModel ProgramModel QuerySite SourceRef",
+    ".report": "ERROR WARNING AnalysisReport Diagnostic",
+    ".runner": "analyze_classes analyze_scenarios graph_for_scenarios independence_for_scenarios",
+}
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES)

@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 #: bumped whenever the cached payload shape changes
@@ -140,6 +139,8 @@ class AnalysisCache:
         """Atomically store ``payload`` under ``key`` (no-op when disabled)."""
         if not self.enabled or key is None:
             return
+        import tempfile  # only a store pays for it (pulls shutil and random)
+
         try:
             os.makedirs(self.directory, exist_ok=True)
             fd, temp_path = tempfile.mkstemp(

@@ -11,16 +11,16 @@ strategy consumes (``independence_for_scenarios``).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Set
 
 from repro.core.registry import TestCase
 
 from .cache import AnalysisCache
-from .checkers import check_unused_ignores, run_checkers
-from .commgraph import CommGraph, build_comm_graph
 from .extract import build_program, discover_classes, discover_event_types
-from .independence import build_independence_table, type_key
-from .report import AnalysisReport
+
+if TYPE_CHECKING:  # at run time each entry point imports what it needs
+    from .commgraph import CommGraph
+    from .report import AnalysisReport
 
 
 def analyze_classes(
@@ -40,6 +40,9 @@ def analyze_classes(
     unreachable-machine, monitor-never-notified); leave it off when the class
     list is a fragment of a larger program.
     """
+    from .checkers import check_unused_ignores, run_checkers
+    from .report import AnalysisReport
+
     program = build_program(classes)
     diagnostics = run_checkers(
         program,
@@ -73,6 +76,9 @@ def analyze_scenarios(
     classes' source digests plus the scenario names and harness-produced
     event types; an unchanged tree skips extraction and checking entirely.
     """
+    from .independence import type_key
+    from .report import AnalysisReport
+
     classes, produced = _discover(testcases)
     key = None
     if cache is not None:
@@ -97,6 +103,8 @@ def analyze_scenarios(
 
 def graph_for_scenarios(testcases: Sequence[TestCase]) -> CommGraph:
     """Whole-program communication graph over the given scenarios."""
+    from .commgraph import build_comm_graph
+
     classes, _produced = _discover(testcases)
     return build_comm_graph(build_program(classes))
 
@@ -105,6 +113,8 @@ def independence_for_scenarios(
     testcases: Sequence[TestCase], cache: Optional[AnalysisCache] = None
 ) -> dict:
     """Independence table over the given scenarios (see ``run --prune``)."""
+    from .independence import build_independence_table
+
     classes, _produced = _discover(testcases)
     key = None
     if cache is not None:

@@ -47,11 +47,7 @@ from typing import List, Optional
 
 from .core.config import TestingConfig
 from .core.engine import TestingEngine
-from .core.hunt import HuntReport
-from .core.parallel import ParallelExplorer
-from .core.portfolio import Portfolio, replay_trace
 from .core.registry import all_scenarios, get_scenario, import_scenario_modules
-from .core.runtime import ProductionRuntime
 from .core.strategy import available_strategies
 
 # Shared with the pool workers, which re-run the same imports inside
@@ -175,6 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         # The portfolio splits --iterations across seed shards; the parallel
         # search has no shards — the same flag is the total execution budget.
+        from .core.parallel import ParallelExplorer
+
         hunt = ParallelExplorer(
             testcase,
             strategy=strategies[0],
@@ -184,6 +182,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             **shared,
         )
     else:
+        from .core.portfolio import Portfolio
+
         hunt = Portfolio(
             testcase,
             strategies=strategies,
@@ -231,6 +231,8 @@ def _load_bug(args: argparse.Namespace, verb: str):
     """Load ``args.report`` and pick the ``--bug``-selected bug among those
     that carry a trace.  Returns ``(report, bug, config)`` — the config of
     the unit that found it — or prints an error and returns None."""
+    from .core.hunt import HuntReport
+
     _import_extra_modules(args.imports)
     report = HuntReport.load(args.report)
     bugs = [
@@ -267,6 +269,8 @@ def _print_state_context(trace, limit: int = 8) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .core.portfolio import replay_trace
+
     loaded = _load_bug(args, "replaying shrunk trace of bug" if args.shrunk else "replaying bug")
     if loaded is None:
         return 1
@@ -333,6 +337,8 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .core.runtime import ProductionRuntime
+
     if args.json and args.verbose:
         # Verbose mirroring writes "[repro] ..." lines to stdout during the
         # run, which would corrupt the machine-readable JSON document.

@@ -24,51 +24,56 @@ The public surface of the framework:
   replay — an open set extended with :func:`register_strategy`.
 """
 
-from .config import TestingConfig
-from .coverage import CoverageTracker
-from .declarations import DEFER, IGNORE, State, on_entry, on_event, on_exit
-from .engine import TestingEngine, TestReport, run_test
-from .hunt import HuntReport, UnitResult, WorkUnit
-from .parallel import ParallelExplorer, explore_scenario
-from .portfolio import Portfolio, replay_bug, replay_trace, run_scenario
-from .registry import (
-    TestCase,
-    all_scenarios,
-    get_scenario,
-    load_builtin_scenarios,
-    register,
-    scenario,
-)
-from .errors import (
-    BugError,
-    DeadlockError,
-    FrameworkError,
-    LivenessViolationError,
-    ReplayDivergenceError,
-    SafetyViolationError,
-    UnexpectedExceptionError,
-    UnhandledEventError,
-)
-from .events import Event, Halt, Receive, StartEvent, TimerTick
-from .ids import MachineId
-from .machine import Machine
-from .monitors import Monitor
-from .runtime import BugInfo, ProductionRuntime, RuntimeKernel, TestRuntime
-from .shrink import Shrinker, ShrinkResult, ShrinkStats, shrink_bug
-from .statistics import HarnessDescription, HarnessStatistics, aggregate_statistics
-from .strategy import (
-    DFSStrategy,
-    PCTStrategy,
-    RandomStrategy,
-    ReplayStrategy,
-    RoundRobinStrategy,
-    SchedulingStrategy,
-    available_strategies,
-    create_strategy,
-    register_strategy,
-)
-from .timer import StartTimer, StopTimer, TimerMachine
-from .trace import ScheduleTrace, TraceStep
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .config import TestingConfig
+    from .coverage import CoverageTracker
+    from .declarations import DEFER, IGNORE, State, on_entry, on_event, on_exit
+    from .engine import TestingEngine, TestReport, run_test
+    from .hunt import HuntReport, UnitResult, WorkUnit
+    from .parallel import ParallelExplorer, explore_scenario
+    from .portfolio import Portfolio, replay_bug, replay_trace, run_scenario
+    from .registry import (
+        TestCase,
+        all_scenarios,
+        get_scenario,
+        load_builtin_scenarios,
+        register,
+        scenario,
+    )
+    from .errors import (
+        BugError,
+        DeadlockError,
+        FrameworkError,
+        LivenessViolationError,
+        ReplayDivergenceError,
+        SafetyViolationError,
+        UnexpectedExceptionError,
+        UnhandledEventError,
+    )
+    from .events import Event, Halt, Receive, StartEvent, TimerTick
+    from .ids import MachineId
+    from .machine import Machine
+    from .monitors import Monitor
+    from .runtime import BugInfo, ProductionRuntime, RuntimeKernel, TestRuntime
+    from .shrink import Shrinker, ShrinkResult, ShrinkStats, shrink_bug
+    from .statistics import HarnessDescription, HarnessStatistics, aggregate_statistics
+    from .strategy import (
+        DFSStrategy,
+        PCTStrategy,
+        RandomStrategy,
+        ReplayStrategy,
+        RoundRobinStrategy,
+        SchedulingStrategy,
+        available_strategies,
+        create_strategy,
+        register_strategy,
+    )
+    from .timer import StartTimer, StopTimer, TimerMachine
+    from .trace import ScheduleTrace, TraceStep
 
 __all__ = [
     "BugError",
@@ -139,3 +144,32 @@ __all__ = [
     "scenario",
     "shrink_bug",
 ]
+
+_SUBMODULES = {
+    ".config": "TestingConfig",
+    ".coverage": "CoverageTracker",
+    ".declarations": "DEFER IGNORE State on_entry on_event on_exit",
+    ".engine": "TestingEngine TestReport run_test",
+    ".hunt": "HuntReport UnitResult WorkUnit",
+    ".parallel": "ParallelExplorer explore_scenario",
+    ".portfolio": "Portfolio replay_bug replay_trace run_scenario",
+    ".registry": "TestCase all_scenarios get_scenario load_builtin_scenarios register scenario",
+    ".errors": (
+        "BugError DeadlockError FrameworkError LivenessViolationError ReplayDivergenceError "
+        "SafetyViolationError UnexpectedExceptionError UnhandledEventError"
+    ),
+    ".events": "Event Halt Receive StartEvent TimerTick",
+    ".ids": "MachineId",
+    ".machine": "Machine",
+    ".monitors": "Monitor",
+    ".runtime": "BugInfo ProductionRuntime RuntimeKernel TestRuntime",
+    ".shrink": "Shrinker ShrinkResult ShrinkStats shrink_bug",
+    ".statistics": "HarnessDescription HarnessStatistics aggregate_statistics",
+    ".strategy": (
+        "DFSStrategy PCTStrategy RandomStrategy ReplayStrategy RoundRobinStrategy "
+        "SchedulingStrategy available_strategies create_strategy register_strategy"
+    ),
+    ".timer": "StartTimer StopTimer TimerMachine",
+    ".trace": "ScheduleTrace TraceStep",
+}
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES)

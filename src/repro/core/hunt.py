@@ -30,9 +30,6 @@ parent's imports) exactly as under ``fork``.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import queue as queue_module
-import traceback
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -379,6 +376,8 @@ def _worker_main(
 ) -> None:
     """Pull units, execute each, push results — until the ``None`` sentinel.
     Top-level so it pickles under every start method."""
+    import traceback
+
     try:
         testcase, config = _init_worker(scenario, config_payload, imports)
     except Exception:
@@ -420,6 +419,9 @@ class WorkerPool:
         imports: Sequence[str] = (),
         start_method: Optional[str] = None,
     ) -> None:
+        # Imported here, not at module top: a serial hunt never forks.
+        import multiprocessing
+
         context = multiprocessing.get_context(start_method)  # None = platform default
         self._tasks = context.Queue()
         self._results = context.Queue()
@@ -454,11 +456,13 @@ class WorkerPool:
         instead of hanging: a worker killed (OOM, signal) between pulling a
         task and pushing its result would otherwise leave the caller blocked
         forever on a unit that never returns."""
+        from queue import Empty  # already loaded: the pool's queues import it
+
         while True:
             try:
                 message = self._results.get(timeout=1.0)
                 break
-            except queue_module.Empty:
+            except Empty:
                 dead = [worker for worker in self._workers if not worker.is_alive()]
                 if dead:
                     codes = [worker.exitcode for worker in dead]

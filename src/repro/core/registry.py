@@ -34,16 +34,18 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .config import TestingConfig
 
-#: modules whose import registers the built-in scenarios of the four
-#: case-study packages.
-BUILTIN_SCENARIO_MODULES = (
-    "repro.examplesys.harness.scenarios",
-    "repro.examplesys.harness.flushstore",
-    "repro.examplesys.harness.service",
-    "repro.vnext.harness.scenarios",
-    "repro.migratingtable.harness.scenarios",
-    "repro.fabric.harness",
-)
+#: scenario-name prefix -> modules whose import registers the built-in
+#: scenarios of that case-study package.
+BUILTIN_SCENARIO_MODULES = {
+    "examplesys": (
+        "repro.examplesys.harness.scenarios",
+        "repro.examplesys.harness.flushstore",
+        "repro.examplesys.harness.service",
+    ),
+    "vnext": ("repro.vnext.harness.scenarios",),
+    "migratingtable": ("repro.migratingtable.harness.scenarios",),
+    "fabric": ("repro.fabric.harness",),
+}
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,13 @@ def scenario(
 
 
 def get_scenario(name: str) -> TestCase:
-    """Look up a registered scenario; unknown names list what is registered."""
-    load_builtin_scenarios()
+    """Look up a registered scenario, loading only its ``<package>/`` prefix's
+    harness modules; unknown names load the rest and list what is registered."""
+    if name not in _SCENARIOS:
+        for module in BUILTIN_SCENARIO_MODULES.get(name.partition("/")[0], ()):
+            importlib.import_module(module)
+    if name not in _SCENARIOS:
+        load_builtin_scenarios()
     if name not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS)) or "(none)"
         raise KeyError(f"unknown scenario {name!r}; registered scenarios: {known}")
@@ -167,8 +174,9 @@ def load_builtin_scenarios() -> None:
     Imports are idempotent, so calling this repeatedly (including from
     portfolio worker processes) is cheap and safe.
     """
-    for module in BUILTIN_SCENARIO_MODULES:
-        importlib.import_module(module)
+    for modules in BUILTIN_SCENARIO_MODULES.values():
+        for module in modules:
+            importlib.import_module(module)
 
 
 def import_scenario_modules(specs: Optional[Sequence[str]]) -> None:

@@ -14,14 +14,19 @@ was one module) keeps working: :class:`TestRuntime`, :class:`BugInfo` and
 the log helpers are re-exported here.
 """
 
-from .kernel import (
-    BugInfo,
-    LogRecord,
-    RuntimeKernel,
-    format_log_record,
-)
-from .production import ProductionRuntime
-from .testing import TestRuntime
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .kernel import (
+        BugInfo,
+        LogRecord,
+        RuntimeKernel,
+        format_log_record,
+    )
+    from .production import ProductionRuntime
+    from .testing import TestRuntime
 
 __all__ = [
     "BugInfo",
@@ -31,3 +36,10 @@ __all__ = [
     "TestRuntime",
     "format_log_record",
 ]
+
+_SUBMODULES = {
+    ".kernel": "BugInfo LogRecord RuntimeKernel format_log_record",
+    ".production": "ProductionRuntime",
+    ".testing": "TestRuntime",
+}
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES)

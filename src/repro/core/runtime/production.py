@@ -57,14 +57,12 @@ anything was violated.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import os
 import random
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional
 
 from ..config import TestingConfig
 from ..errors import BugError, FrameworkError, UnexpectedExceptionError
@@ -72,6 +70,9 @@ from ..events import Event, TimerTick
 from ..ids import MachineId
 from ..machine import Machine, MachineHaltRequested
 from .kernel import _CONTROL_EVENTS, BugInfo, RuntimeKernel
+
+if TYPE_CHECKING:
+    from asyncio import AbstractEventLoop, Task
 
 #: Events one pump turn dispatches before handing the loop back (~0.5 ms of
 #: loop occupancy).  It only amortizes asyncio's per-turn cost (a handle, a
@@ -100,7 +101,7 @@ class ProductionRuntime(RuntimeKernel):
         self.dispatch_counts: Dict[int, int] = {}
         #: created in start(): an event loop holds selector file descriptors,
         #: so never-started runtimes must not allocate one.
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop: Optional[AbstractEventLoop] = None
         self._loop_thread_id: Optional[int] = None
         self._thread: Optional[threading.Thread] = None
         self._monitor_lock = threading.RLock()
@@ -111,7 +112,7 @@ class ProductionRuntime(RuntimeKernel):
         self._run_queue: Deque[Machine] = deque()
         #: a pump callback is pending on the loop or running right now.
         self._pump_scheduled = False
-        self._timer_tasks: Dict[int, "asyncio.Task"] = {}
+        self._timer_tasks: Dict[int, Task] = {}
         #: external sends posted via call_soon_threadsafe that have not yet
         #: landed on the loop; quiescence cannot be declared while non-zero.
         #: Incremented from arbitrary client threads and decremented on the
@@ -133,6 +134,8 @@ class ProductionRuntime(RuntimeKernel):
         """Boot the system: run ``entry`` on the event loop and start serving."""
         if self._started:
             raise FrameworkError("ProductionRuntime.start() may only be called once")
+        import asyncio  # deferred: a runtime that is never started never loads it
+
         self._started = True
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -167,6 +170,9 @@ class ProductionRuntime(RuntimeKernel):
         """
         if not self._started:
             raise FrameworkError("join() before start()")
+        import asyncio
+        from concurrent.futures import TimeoutError as ProbeTimeout  # plain TimeoutError on 3.11+
+
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._halted_event.is_set():
@@ -183,7 +189,7 @@ class ProductionRuntime(RuntimeKernel):
                         "stopped" if self._halted_event.is_set() else "quiescence"
                     )
                     return True
-            except concurrent.futures.TimeoutError:  # plain TimeoutError on 3.11+
+            except ProbeTimeout:
                 probe.cancel()
             if deadline is not None and time.monotonic() >= deadline:
                 self.termination_reason = "bound"
@@ -199,6 +205,8 @@ class ProductionRuntime(RuntimeKernel):
         if not self._started:
             raise FrameworkError("shutdown() before start()")
         if not self._stopped:
+            import asyncio
+
             self._stopped = True
             stopper = asyncio.run_coroutine_threadsafe(self._stop_tasks(), self._loop)
             try:
@@ -243,6 +251,8 @@ class ProductionRuntime(RuntimeKernel):
         return self.shutdown()
 
     def _loop_main(self) -> None:
+        import asyncio
+
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
 
@@ -259,6 +269,8 @@ class ProductionRuntime(RuntimeKernel):
             self._record_bug(error)
 
     async def _stop_tasks(self) -> None:
+        import asyncio
+
         self._stopping = True  # the pump observes it and stops re-scheduling
         for task in self._timer_tasks.values():
             task.cancel()
@@ -479,6 +491,8 @@ class ProductionRuntime(RuntimeKernel):
         # were already delivered when the timer stops remain in the target's
         # inbox — the documented "pending ticks may still be delivered" race
         # exists in production exactly as it does under testing.
+        import asyncio
+
         try:
             while not self._stopping and timer.active and not timer._halted:
                 if timer.max_ticks is not None and timer.rounds >= timer.max_ticks:
