@@ -17,6 +17,7 @@ from repro import (
     Monitor,
     Portfolio,
     Receive,
+    State,
     on_event,
     scenario,
 )
@@ -57,12 +58,15 @@ class Client(Machine):
 class ResponseMonitor(Monitor):
     """Hot while a request is outstanding."""
 
-    initial_state = "idle"
-    hot_states = frozenset({"waiting"})
+    class Idle(State, initial=True, name="idle"):
+        pass
+
+    class Waiting(State, hot=True, name="waiting"):
+        pass
 
     @on_event(Notify)
     def observe(self, event):
-        self.goto("waiting" if event.kind == "request" else "idle")
+        self.goto(ResponseMonitor.Waiting if event.kind == "request" else ResponseMonitor.Idle)
 
 
 @scenario(

@@ -39,9 +39,7 @@ if TYPE_CHECKING:
         all_scenarios,
         available_strategies,
         get_scenario,
-        on_entry,
         on_event,
-        on_exit,
         register_strategy,
         run_scenario,
         run_test,
@@ -70,9 +68,7 @@ __all__ = [
     "all_scenarios",
     "available_strategies",
     "get_scenario",
-    "on_entry",
     "on_event",
-    "on_exit",
     "register_strategy",
     "run_scenario",
     "run_test",

@@ -928,7 +928,7 @@ def _own_functions(cls: type) -> Dict[str, types.FunctionType]:
     return funcs
 
 
-def _method_states(spec, funcs: Dict[str, types.FunctionType], initial: str) -> Dict[str, Set[str]]:
+def _method_states(spec, funcs: Dict[str, types.FunctionType]) -> Dict[str, Set[str]]:
     bound: Dict[str, Set[str]] = {}
     for (state, _event_type), info in spec.handlers.items():
         bound.setdefault(info.method_name, set()).add(state)
@@ -942,7 +942,7 @@ def _method_states(spec, funcs: Dict[str, types.FunctionType], initial: str) -> 
             scopes[name] = bound[name]
         elif name == "on_start":
             # on_start runs while the machine sits in its initial state
-            scopes[name] = {initial}
+            scopes[name] = {spec.initial_state}
         else:
             # plain helper: callable from any handler, hence any state
             scopes[name] = {ANY_STATE}
@@ -977,11 +977,6 @@ def extract_machine_model(cls: type) -> MachineModel:
 
     kind = "monitor" if issubclass(cls, Monitor) else "machine"
     spec = cls.spec() if hasattr(cls, "spec") else build_spec(cls)
-    initial = (
-        spec.initial_state
-        if spec.initial_state is not None
-        else getattr(cls, "initial_state", "init")
-    )
     try:
         filename = inspect.getsourcefile(cls) or "<unknown>"
         class_lines, class_line = inspect.getsourcelines(cls)
@@ -997,14 +992,14 @@ def extract_machine_model(cls: type) -> MachineModel:
         file=filename,
         line=class_line,
         end_line=class_end,
-        initial=initial,
+        initial=spec.initial_state,
         ignore_unhandled=bool(getattr(cls, "ignore_unhandled_events", False)),
     )
     if kind == "monitor":
-        model.hot_states = set(spec.hot_states) | set(getattr(cls, "hot_states", ()) or ())
+        model.hot_states = set(spec.hot_states)
 
     funcs = _own_functions(cls)
-    scopes = _method_states(spec, funcs, initial)
+    scopes = _method_states(spec, funcs)
     declared_events = _declared_event_types(spec)
 
     # attribute summaries: ``self.X = ...`` assignments across every method

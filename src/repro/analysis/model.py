@@ -212,7 +212,7 @@ class MachineModel:
     receive_types: Set[type] = field(default_factory=set)
     #: a ``Receive(...)`` argument did not resolve — any event may be received
     receives_unknown: bool = False
-    #: monitor hot states (DSL ``hot=True`` plus the legacy class attribute)
+    #: monitor hot states (declared ``hot=True``)
     hot_states: Set[str] = field(default_factory=set)
     #: method name -> states it is bound to (handlers + entry/exit actions);
     #: unbound helpers map to {ANY_STATE}
@@ -269,7 +269,7 @@ class MachineModel:
 
     @property
     def all_states(self) -> Set[str]:
-        return set(self.spec.states) | {self.initial}
+        return self.spec.states
 
     @property
     def has_unknown_transitions(self) -> bool:

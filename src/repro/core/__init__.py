@@ -2,11 +2,10 @@
 
 The public surface of the framework:
 
-* :class:`Machine`, :class:`State`, :func:`on_event`, :func:`on_entry`,
-  :func:`on_exit`, :class:`Receive` — the programming model for harness
-  machines and wrapped components: nested ``State`` declarations with
-  defer/ignore disciplines and a push/pop state stack (the legacy
-  string-state decorator form keeps working).
+* :class:`Machine`, :class:`State`, :func:`on_event`, :class:`Receive` — the
+  programming model for harness machines and wrapped components: nested
+  ``State`` declarations with defer/ignore disciplines and a push/pop state
+  stack.
 * :class:`Monitor` — safety and liveness (hot/cold) specification monitors.
 * :class:`TestingEngine`, :func:`run_test`, :class:`TestingConfig` — the
   single-strategy systematic testing entry points.
@@ -31,7 +30,7 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .config import TestingConfig
     from .coverage import CoverageTracker
-    from .declarations import DEFER, IGNORE, State, on_entry, on_event, on_exit
+    from .declarations import DEFER, IGNORE, State, on_event
     from .engine import TestingEngine, TestReport, run_test
     from .hunt import HuntReport, UnitResult, WorkUnit
     from .parallel import ParallelExplorer, explore_scenario
@@ -132,9 +131,7 @@ __all__ = [
     "explore_scenario",
     "get_scenario",
     "load_builtin_scenarios",
-    "on_entry",
     "on_event",
-    "on_exit",
     "register",
     "register_strategy",
     "replay_bug",
@@ -148,7 +145,7 @@ __all__ = [
 _SUBMODULES = {
     ".config": "TestingConfig",
     ".coverage": "CoverageTracker",
-    ".declarations": "DEFER IGNORE State on_entry on_event on_exit",
+    ".declarations": "DEFER IGNORE State on_event",
     ".engine": "TestingEngine TestReport run_test",
     ".hunt": "HuntReport UnitResult WorkUnit",
     ".parallel": "ParallelExplorer explore_scenario",

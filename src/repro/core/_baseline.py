@@ -31,10 +31,21 @@ from __future__ import annotations
 
 from typing import List
 
+from .declarations import ANY_STATE
 from .errors import BugError, FrameworkError, UnhandledEventError
 from .events import Halt, StartEvent
 from .machine import Machine, MachineHaltRequested
 from .runtime import TestRuntime, format_log_record
+
+
+def _resolve_handler(spec, state: str, event_type: type):
+    """Seed-era resolution: walk the handler table per event, no memo."""
+    for candidate_state in (state, ANY_STATE):
+        for base in event_type.__mro__:
+            info = spec.handlers.get((candidate_state, base))
+            if info is not None:
+                return info
+    return None
 
 
 class _EagerSink:
@@ -142,9 +153,7 @@ class BaselineRuntime(TestRuntime):
             result = machine.on_start(*args, **kwargs)
             self._maybe_start_coroutine(machine, result)
             return
-        spec = type(machine).spec()
-        # Seed-era resolution cost: walk the handler table, no memo.
-        info = spec._resolve_handler(machine.current_state, type(event))
+        info = _resolve_handler(type(machine).spec(), machine.current_state, type(event))
         if info is None:
             if machine.ignore_unhandled_events:
                 self.log(

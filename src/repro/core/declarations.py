@@ -1,11 +1,10 @@
 """Declarative state-machine metadata for machines and monitors.
 
-Two declaration forms lower to the same :class:`StateMachineSpec`.
-
-**The State DSL** (preferred): machines declare nested :class:`State`
-subclasses carrying their handlers and per-state event disciplines, exactly
-like P# machines declare ``[OnEventDoAction]`` / ``[DeferEvents]`` /
-``[IgnoreEvents]`` attributes on state classes::
+Machines declare nested :class:`State` subclasses carrying their handlers and
+per-state event disciplines, exactly like P# machines declare
+``[OnEventDoAction]`` / ``[DeferEvents]`` / ``[IgnoreEvents]`` attributes on
+state classes; :func:`build_spec` lowers a class to its
+:class:`StateMachineSpec`::
 
     >>> from repro.core.events import Event
     >>> class Knock(Event): pass
@@ -36,26 +35,13 @@ like P# machines declare ``[OnEventDoAction]`` / ``[DeferEvents]`` /
     >>> spec.context_for(('Open',)).resolve(Knock) is IGNORE
     True
 
-**The legacy string-state form** remains fully supported (it is a thin
-compatibility shim over the same spec)::
-
-    class Server(Machine):
-        initial_state = "listening"
-
-        @on_event(ClientRequest, state="listening")
-        def handle_request(self, event):
-            ...
-
-        @on_entry("closing")
-        def announce_closing(self):
-            ...
-
-Both forms may be mixed on one class: a handler declared without a ``state``
-argument applies in every state that does not resolve the event itself
-(including every state of the P#-style state *stack*, see
-:meth:`StateMachineSpec.context_for`).  The metadata collected here is also
-what :mod:`repro.core.statistics` inspects to produce the Table 1
-modeling-cost statistics.
+An ``@on_event`` handler on the machine body itself is machine-wide: it
+applies in every state that does not resolve the event itself (including
+every state of the P#-style state *stack*, see
+:meth:`StateMachineSpec.context_for`).  A class that declares no
+:class:`State` at all has the single implicit state ``"init"``.  The metadata
+collected here is also what :mod:`repro.core.statistics` inspects to produce
+the Table 1 modeling-cost statistics.
 """
 
 from __future__ import annotations
@@ -68,8 +54,6 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 ANY_STATE = "*"
 
 _HANDLER_ATTR = "_repro_event_handlers"
-_ENTRY_ATTR = "_repro_entry_states"
-_EXIT_ATTR = "_repro_exit_states"
 #: per-class set of attribute names hoisted from nested State bodies; the
 #: spec builder must skip them (the functions still carry their @on_event
 #: metadata, which would otherwise re-register them as wildcard handlers
@@ -101,8 +85,7 @@ class State:
     Subclass :class:`State` *inside* a machine (or monitor) class body and
     declare, per state:
 
-    * event handlers with :func:`on_event` (no ``state=`` argument — the
-      enclosing state is implied);
+    * event handlers with :func:`on_event` (the enclosing state is implied);
     * ``deferred = (EventT, ...)`` — events kept in the inbox, invisible to
       dequeue, until a transition to a state that no longer defers them;
     * ``ignored = (EventT, ...)`` — events silently dropped at dequeue time;
@@ -112,10 +95,9 @@ class State:
     Class keywords:
 
     * ``initial=True`` marks the machine's start state (exactly one per
-      class; overrides the legacy ``initial_state`` string attribute);
+      class that declares states; a subclass inherits its base's);
     * ``name="..."`` overrides the state's name (defaults to the class name);
-    * ``hot=True`` marks a liveness-monitor state as hot (merged into the
-      monitor's ``hot_states``).
+    * ``hot=True`` marks a liveness-monitor state as hot.
     """
 
     #: Event types kept queued (not dequeuable) while this state is active.
@@ -150,46 +132,18 @@ def resolve_state_name(state: StateRef) -> str:
     raise TypeError(f"expected a state name or State subclass, got {state!r}")
 
 
-def on_event(*event_types: type, state: Optional[str] = None) -> Callable:
+def on_event(*event_types: type) -> Callable:
     """Register the decorated method as the handler for ``event_types``.
 
-    Inside a :class:`State` body the enclosing state is implied and ``state``
-    must not be given.  On a machine body, ``state`` scopes the handler to one
-    named state; without it the handler applies in any state that does not
-    resolve the event itself.
+    Inside a :class:`State` body the handler is scoped to that state; on the
+    machine body it applies in any state that does not resolve the event
+    itself.
     """
     if not event_types:
         raise TypeError("on_event requires at least one event type")
 
     def decorator(func: Callable) -> Callable:
-        registrations = list(getattr(func, _HANDLER_ATTR, []))
-        for event_type in event_types:
-            registrations.append((event_type, state if state is not None else ANY_STATE))
-        setattr(func, _HANDLER_ATTR, registrations)
-        return func
-
-    return decorator
-
-
-def on_entry(state: str) -> Callable:
-    """Register the decorated method as the entry action of ``state``."""
-
-    def decorator(func: Callable) -> Callable:
-        states = list(getattr(func, _ENTRY_ATTR, []))
-        states.append(state)
-        setattr(func, _ENTRY_ATTR, states)
-        return func
-
-    return decorator
-
-
-def on_exit(state: str) -> Callable:
-    """Register the decorated method as the exit action of ``state``."""
-
-    def decorator(func: Callable) -> Callable:
-        states = list(getattr(func, _EXIT_ATTR, []))
-        states.append(state)
-        setattr(func, _EXIT_ATTR, states)
+        setattr(func, _HANDLER_ATTR, [*getattr(func, _HANDLER_ATTR, ()), *event_types])
         return func
 
     return decorator
@@ -242,7 +196,7 @@ class StateContext:
         # Runtime-control events (Halt, StartEvent) are never governed by
         # user disciplines: deferring or ignoring them would wedge the
         # machine's lifecycle, so they always dequeue.
-        if not _is_control_event(event_type):
+        if not is_control_event(event_type):
             deferred = self.spec.deferred
             ignored = self.spec.ignored
             handlers = self.spec.handlers
@@ -332,10 +286,6 @@ def is_control_event(event_type: type) -> bool:
     return issubclass(event_type, (Halt, StartEvent))
 
 
-#: Backwards-compatible private alias (pre-analysis-package name).
-_is_control_event = is_control_event
-
-
 @dataclass
 class StateMachineSpec:
     """Static description of a machine or monitor class.
@@ -343,8 +293,9 @@ class StateMachineSpec:
     ``handlers`` maps ``(state, event_type)`` to :class:`HandlerInfo`;
     ``entry_actions``/``exit_actions`` map state name to method name;
     ``deferred``/``ignored`` map state name to a frozenset of event types;
-    ``initial_state`` is the DSL-declared start state (None when the class
-    only uses the legacy ``initial_state`` string attribute).
+    ``initial_state`` is the one state declared ``initial=True`` — or
+    ``"init"``, the implicit single state of a class that declares no
+    :class:`State`; ``hot_states`` are the states declared ``hot=True``.
     """
 
     owner_name: str
@@ -353,15 +304,11 @@ class StateMachineSpec:
     exit_actions: dict = field(default_factory=dict)
     deferred: dict = field(default_factory=dict)
     ignored: dict = field(default_factory=dict)
-    initial_state: Optional[str] = None
-    #: DSL State subclasses by state name (empty for legacy-form classes).
+    initial_state: str = "init"
+    #: State subclasses by state name (empty for a class that declares none).
     state_classes: dict = field(default_factory=dict)
     #: states declared hot via ``class X(State, hot=True)`` (monitors only).
     hot_states: frozenset = frozenset()
-    #: memoized ``(state, event_type) -> Optional[HandlerInfo]`` resolutions;
-    #: dispatch is a hot path, and resolution (wildcard states, base-class
-    #: matches) is pure, so every answer — including "no handler" — is cached.
-    _resolution_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: memoized ``stack tuple -> StateContext``, shared across instances.
     _context_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: ``(initial state, its StateContext)`` every new machine instance starts
@@ -379,8 +326,7 @@ class StateMachineSpec:
         found.update(self.deferred)
         found.update(self.ignored)
         found.update(self.state_classes)
-        if self.initial_state is not None:
-            found.add(self.initial_state)
+        found.add(self.initial_state)
         return found
 
     @property
@@ -409,44 +355,6 @@ class StateMachineSpec:
             self._context_cache[stack] = context
         return context
 
-    def handler_for(self, state: str, event_type: type) -> Optional[HandlerInfo]:
-        """Resolve the handler for ``event_type`` while in ``state``.
-
-        Resolution walks the event type's MRO most-derived-first, preferring
-        ``state``-specific bindings over wildcard-state bindings for the same
-        base: a state's own handlers — however general their event type —
-        beat machine-wide defaults.  Results are memoized per
-        ``(state, event_type)`` pair.
-
-        This is the single-state, discipline-free view used by the seed
-        reference runtime (:mod:`repro.core._baseline`) and by tests;
-        machine/monitor dispatch resolves through :meth:`context_for`, whose
-        :class:`StateContext` applies the same per-state precedence while
-        also consulting the state stack and the defer/ignore disciplines.
-        Keep the two in sync when changing precedence.
-        """
-        key = (state, event_type)
-        try:
-            return self._resolution_cache[key]
-        except KeyError:
-            pass
-        info = self._resolve_handler(state, event_type)
-        self._resolution_cache[key] = info
-        return info
-
-    def _resolve_handler(self, state: str, event_type: type) -> Optional[HandlerInfo]:
-        # Deterministic resolution: for each candidate state (specific first,
-        # wildcard second) prefer the most-derived matching event type — the
-        # binding whose type is closest in the event's MRO — independent of
-        # handler registration order.
-        handlers = self.handlers
-        for candidate_state in (state, ANY_STATE):
-            for base in event_type.__mro__:
-                info = handlers.get((candidate_state, base))
-                if info is not None:
-                    return info
-        return None
-
 
 def _wants_event(func: Callable) -> bool:
     parameters = [
@@ -469,7 +377,7 @@ def _collect_state(spec: StateMachineSpec, owner: type, state_cls: type) -> None
     """Lower one nested State declaration into ``spec``.
 
     Handler/entry/exit functions are hoisted onto the owner class under
-    mangled attribute names, so dispatch binds them exactly like legacy
+    mangled attribute names, so dispatch binds them exactly like machine-wide
     handlers (``getattr(machine, method_name)``) and the runtime's
     bound-method cache keeps working unchanged.
     """
@@ -513,15 +421,9 @@ def _collect_state(spec: StateMachineSpec, owner: type, state_cls: type) -> None
             )
         if not callable(attr):
             continue
-        if getattr(attr, _ENTRY_ATTR, None) or getattr(attr, _EXIT_ATTR, None):
-            raise TypeError(
-                f"{owner.__name__}.{state_cls.__name__}.{attr_name}: inside a "
-                f"State body declare entry/exit actions as plain on_entry/"
-                f"on_exit methods, not with @on_entry/@on_exit"
-            )
-        registrations = getattr(attr, _HANDLER_ATTR, [])
+        event_types = getattr(attr, _HANDLER_ATTR, ())
         if (
-            not registrations
+            not event_types
             and attr_name not in ("on_entry", "on_exit")
             and inspect.isfunction(attr)
             and not attr_name.startswith("__")
@@ -536,13 +438,7 @@ def _collect_state(spec: StateMachineSpec, owner: type, state_cls: type) -> None
             )
         mangled = f"_state_{state_name}_{attr_name}"
         hoisted.add(mangled)
-        for event_type, declared_state in registrations:
-            if declared_state != ANY_STATE:
-                raise TypeError(
-                    f"{owner.__name__}.{state_cls.__name__}.{attr_name}: handlers "
-                    f"inside a State body must not pass state= (the enclosing "
-                    f"state is implied)"
-                )
+        for event_type in event_types:
             if event_type in deferred or event_type in ignored:
                 discipline = "deferred" if event_type in deferred else "ignored"
                 raise TypeError(
@@ -567,12 +463,18 @@ def _collect_state(spec: StateMachineSpec, owner: type, state_cls: type) -> None
         spec.hot_states = spec.hot_states | {state_name}
 
 
+#: Class attributes that used to name the start state and the hot states,
+#: with the State keyword that replaced each.  A left-over one would be
+#: silently ignored and the machine would start (or turn hot) elsewhere.
+_REMOVED_ATTRS = {"initial_state": "initial=True", "hot_states": "hot=True"}
+
+
 def build_spec(cls: type) -> StateMachineSpec:
     """Collect the declaration metadata of ``cls`` and its bases.
 
-    Both forms lower here: legacy ``@on_event(state=...)`` decorators on the
-    class body and nested :class:`State` subclasses.  Later (more derived)
-    declarations override earlier ones binding the same (state, event type).
+    Nested :class:`State` subclasses and machine-wide ``@on_event`` handlers
+    lower here.  Later (more derived) declarations override earlier ones
+    binding the same (state, event type).
     """
     spec = StateMachineSpec(owner_name=cls.__name__)
     # Names hoisted onto ancestor classes by *their* spec builds...
@@ -588,6 +490,7 @@ def build_spec(cls: type) -> StateMachineSpec:
     if hoisted_live is None:
         hoisted_live = set()
         setattr(cls, _HOISTED_ATTR, hoisted_live)
+    initial = None
     for klass in reversed(cls.__mro__):
         initial_here = []
         names_here: dict = {}
@@ -596,6 +499,11 @@ def build_spec(cls: type) -> StateMachineSpec:
         for attr_name, attr in list(vars(klass).items()):
             if attr_name in hoisted_names or attr_name in hoisted_live:
                 continue
+            if attr_name in _REMOVED_ATTRS:
+                raise TypeError(
+                    f"{klass.__name__}.{attr_name} is not read: declare the state "
+                    f"as `class X(State, {_REMOVED_ATTRS[attr_name]})` instead"
+                )
             if isinstance(attr, type) and issubclass(attr, State) and attr is not State:
                 duplicate = names_here.get(attr._state_name)
                 if duplicate is not None:
@@ -610,27 +518,32 @@ def build_spec(cls: type) -> StateMachineSpec:
                 continue
             if not callable(attr):
                 continue
-            for event_type, state in getattr(attr, _HANDLER_ATTR, []):
-                spec.handlers[(state, event_type)] = HandlerInfo(
+            for event_type in getattr(attr, _HANDLER_ATTR, ()):
+                spec.handlers[(ANY_STATE, event_type)] = HandlerInfo(
                     method_name=attr_name,
                     event_type=event_type,
-                    state=state,
+                    state=ANY_STATE,
                     wants_event=_wants_event(attr),
                 )
-            for state in getattr(attr, _ENTRY_ATTR, []):
-                spec.entry_actions[state] = attr_name
-            for state in getattr(attr, _EXIT_ATTR, []):
-                spec.exit_actions[state] = attr_name
         if len(initial_here) > 1:
             raise TypeError(
                 f"{klass.__name__}: more than one initial state declared "
                 f"({', '.join(sorted(initial_here))})"
             )
         if initial_here:
-            spec.initial_state = initial_here[0]
-    # Cross-form conflict check: a legacy ``@on_event(state="S")`` handler
-    # and a DSL state S deferring/ignoring the same exact event type are
-    # contradictory, just like the in-body case _collect_state rejects.
+            initial = initial_here[0]
+    if initial is not None:
+        spec.initial_state = initial
+    elif spec.state_classes:
+        # Starting in the implicit "init" would report the first event as an
+        # unhandled-event bug in the system under test.
+        raise TypeError(
+            f"{cls.__name__} declares states ({', '.join(sorted(spec.state_classes))}) "
+            f"but marks none `initial=True`"
+        )
+    # A subclass redeclaring state S replaces S's disciplines but inherits
+    # the base S's handlers, so "handled and deferred/ignored" can arise
+    # across classes even though _collect_state rejects it within one body.
     for discipline_name, table in (("deferred", spec.deferred), ("ignored", spec.ignored)):
         for state_name, event_types in table.items():
             for event_type in event_types:

@@ -68,10 +68,9 @@ class Machine:
                 def on_entry(self):
                     ...
 
-    or with the legacy string-state form (``@on_event(EventT, state="...")``
-    plus the ``initial_state`` class attribute) — both lower to the same
-    :class:`~repro.core.declarations.StateMachineSpec` and may be mixed.
-    Subclasses may override:
+    An ``@on_event`` handler on the machine body applies in every state that
+    does not resolve the event itself; a machine that declares no ``State``
+    sits in the single implicit state ``"init"``.  Subclasses may override:
 
     * ``on_start(*args, **kwargs)`` — runs when the machine starts; receives
       the arguments passed to :meth:`create`.
@@ -79,13 +78,10 @@ class Machine:
 
     Class attributes:
 
-    * ``initial_state`` — legacy name of the start state; superseded by a
-      DSL state declared with ``initial=True``.
     * ``ignore_unhandled_events`` — if true, events without a handler in the
       current state are dropped instead of being reported as a bug.
     """
 
-    initial_state: str = "init"
     ignore_unhandled_events: bool = False
 
     _spec_cache: dict = {}
@@ -140,8 +136,7 @@ class Machine:
         cached = Machine._spec_cache.get(cls)
         if cached is None:
             cached = build_spec(cls)
-            # The DSL-declared initial state wins over the legacy string.
-            initial = cached.initial_state if cached.initial_state is not None else cls.initial_state
+            initial = cached.initial_state
             cached.start = (initial, cached.context_for((initial,)))
             Machine._spec_cache[cls] = cached
         return cached

@@ -9,7 +9,7 @@ them, which keeps specification state cleanly separated from program state
 * A **safety monitor** flags erroneous finite behaviours with
   :meth:`Monitor.assert_that`.
 * A **liveness monitor** declares some of its states *hot* (progress is
-  required but has not happened yet) via the ``hot_states`` class attribute.
+  required but has not happened yet) with ``class Waiting(State, hot=True)``.
   If a liveness monitor is still in a hot state when an execution reaches the
   configured step bound (the "bounded infinite execution" heuristic of §2.5),
   or when the whole system becomes quiescent, a liveness violation is
@@ -37,31 +37,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Monitor:
     """Base class for safety and liveness monitors.
 
-    Subclasses declare event handlers either with nested
+    Subclasses declare event handlers in nested
     :class:`~repro.core.declarations.State` classes (marking hot liveness
-    states with ``class Waiting(State, hot=True)``) or with the legacy
-    ``@on_event(state=...)`` form plus the ``hot_states`` class attribute;
-    both lower to the same spec.  Monitors transition with :meth:`goto`.
+    states with ``class Waiting(State, hot=True)``) or, for handlers that
+    apply in every state, on the monitor body.  Monitors transition with
+    :meth:`goto`.
     """
-
-    initial_state: str = "init"
-    #: States in which the monitor demands eventual progress (legacy form;
-    #: merged with states declared ``hot=True`` in the State DSL).
-    hot_states: frozenset = frozenset()
 
     _spec_cache: dict = {}
 
     def __init__(self, runtime: "RuntimeKernel") -> None:
         self._runtime = runtime
         spec = type(self).spec()
-        initial = spec.initial_state if spec.initial_state is not None else type(self).initial_state
-        self._current_state = initial
+        self._current_state = spec.initial_state
         #: Number of consecutive runtime steps spent in a hot state.
         self._hot_since_step: Optional[int] = None
         #: per-instance handle on the (class-cached) spec so event dispatch
         #: skips a dict lookup per notification.
         self._spec = spec
-        #: effective hot-state set (see :meth:`spec`).
         self._hot_states = spec.hot_states
         #: monotonic goto count; registration uses it to tell "never left the
         #: initial state" from "left and came back".
@@ -79,8 +72,6 @@ class Monitor:
                     f"{states}): monitors are notified synchronously and cannot "
                     f"defer — drop with `ignored` or handle the event instead"
                 )
-            # effective hot-state set: legacy class attribute + DSL-declared
-            cached.hot_states = frozenset(cls.hot_states) | cached.hot_states
             Monitor._spec_cache[cls] = cached
         return cached
 

@@ -8,8 +8,8 @@ the Python harnesses in this repository by inspecting the declared machine and
 monitor classes and counting source lines of the involved modules.  With the
 State DSL the spec also exposes per-state event disciplines, so the rows
 additionally count declared states (#S), deferred-event declarations (#DE)
-and ignored-event declarations (#IE) — modeling cost the flat string-state
-form hid inside hand-rolled bookkeeping.
+and ignored-event declarations (#IE) — modeling cost that hand-rolled
+bookkeeping in a single flat state would hide.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ def count_source_lines(modules: Iterable) -> int:
     return total
 
 
-def _declared_states(cls: type) -> set:
-    spec = cls.spec()
-    states = set(spec.states)
-    # The DSL-declared initial state supersedes the legacy class attribute;
-    # counting the latter would charge DSL machines a phantom "init" state.
-    if spec.initial_state is None:
-        states.add(cls.initial_state)
-    return states
-
-
 def count_state_transitions(machine_classes: Sequence[type]) -> int:
     """Count declared state transitions across harness machine/monitor classes.
 
@@ -58,7 +48,7 @@ def count_state_transitions(machine_classes: Sequence[type]) -> int:
         for (state, _event_type) in spec.handlers:
             if state != ANY_STATE:
                 transitions += 1
-        transitions += max(0, len(_declared_states(cls)) - 1)
+        transitions += len(spec.states) - 1
     return transitions
 
 
@@ -68,8 +58,8 @@ def count_action_handlers(machine_classes: Sequence[type]) -> int:
 
 
 def count_states(machine_classes: Sequence[type]) -> int:
-    """Count declared states (DSL State classes and legacy string states)."""
-    return sum(len(_declared_states(cls)) for cls in machine_classes)
+    """Count declared states (a class without ``State``s has one, ``"init"``)."""
+    return sum(len(cls.spec().states) for cls in machine_classes)
 
 
 def count_deferred_events(machine_classes: Sequence[type]) -> int:

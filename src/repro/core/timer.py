@@ -11,7 +11,7 @@ exposes expiration/heartbeat races such as the vNext liveness bug.
 
 from __future__ import annotations
 
-from .declarations import on_event
+from .declarations import State, on_event
 from .events import Event, TimerTick
 from .ids import MachineId
 from .machine import Machine
@@ -42,7 +42,8 @@ class TimerMachine(Machine):
     in Figure 9 of the paper.
     """
 
-    initial_state = "running"
+    class Running(State, initial=True, name="running"):
+        """The timer's one state; its handlers are machine-wide."""
 
     def on_start(
         self,

@@ -17,7 +17,7 @@ Three registered scenarios turn each discipline into a checkable property:
   :class:`FlushSafetyMonitor` proves *absent* the write-during-flush bug that
   the flat model cannot avoid without bespoke bookkeeping.
 * ``examplesys/flush-flat-write-during-flush`` — :class:`FlatFlushStoreMachine`,
-  the string-state port of the same protocol: with no way to defer, its
+  the single-state port of the same protocol: with no way to defer, its
   hand-rolled "flushing" flag applies writes mid-flush and the safety monitor
   catches it.
 * ``examplesys/flush-lost-completion-deadlock`` — the DSL store with a lost
@@ -156,7 +156,7 @@ class FlushStoreMachine(Machine):
 
 
 # ---------------------------------------------------------------------------
-# the store, flat string-state form (what the DSL replaces)
+# the store, flat: one state, no disciplines
 # ---------------------------------------------------------------------------
 class FlatFlushStoreMachine(Machine):
     """The same protocol without state disciplines.
@@ -167,7 +167,8 @@ class FlatFlushStoreMachine(Machine):
     the monitor) or dropping/re-sending (which reorders the write stream).
     """
 
-    initial_state = "Active"
+    class Active(State, initial=True):
+        """The store's one state; its handlers are machine-wide."""
 
     def on_start(self) -> None:
         self.memlog: List[int] = []

@@ -5,11 +5,8 @@ a machine; the storage nodes, client and timers are modeled.  The modeled
 network intercepts the server's outbound messages and relays them as events,
 mirroring Figure 2 of the paper.
 
-Machines are declared in the State DSL (nested
-:class:`~repro.core.declarations.State` classes); the pre-DSL string-state
-form of the same machines is preserved in :mod:`.legacy_machines`, and the
-``dsl-compat`` test asserts that both forms produce byte-identical
-ScheduleTraces on the seeded scenarios.
+Machines are declared with nested :class:`~repro.core.declarations.State`
+classes.
 """
 
 from __future__ import annotations

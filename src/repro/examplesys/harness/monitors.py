@@ -1,7 +1,6 @@
 """Safety and liveness monitors for the example replication system (§2.4, §2.5).
 
-Both monitors are declared in the State DSL; hot liveness states are marked
-with ``class X(State, hot=True)`` instead of the legacy ``hot_states`` set.
+Hot liveness states are marked with ``class X(State, hot=True)``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Event, Machine, on_entry, on_event, on_exit
+from repro.core import Event, Machine, State, on_event
 from repro.core.declarations import ANY_STATE, build_spec
 
 
@@ -19,53 +19,56 @@ class EvSub(Ev1):
 
 
 class Stateful(Machine):
-    initial_state = "a"
+    class A(State, initial=True, name="a"):
+        @on_event(Ev1)
+        def handle_a(self, event):
+            pass
 
-    @on_event(Ev1, state="a")
-    def handle_a(self, event):
-        pass
+        def on_exit(self):
+            pass
 
-    @on_event(Ev1, state="b")
-    def handle_b(self):
-        pass
+    class B(State, name="b"):
+        @on_event(Ev1)
+        def handle_b(self):
+            pass
+
+        def on_entry(self):
+            pass
 
     @on_event(Ev2)
     def handle_any(self, event):
         pass
 
-    @on_entry("b")
-    def enter_b(self):
-        pass
 
-    @on_exit("a")
-    def exit_a(self):
-        pass
+def handler_for(spec, state, event_type):
+    """The handler ``event_type`` resolves to while in the single state ``state``."""
+    return spec.context_for((state,)).handler_only(event_type)
 
 
 def test_spec_collects_states_and_handlers():
     spec = Stateful.spec()
     assert spec.states == {"a", "b"}
-    assert spec.handler_for("a", Ev1).method_name == "handle_a"
-    assert spec.handler_for("b", Ev1).method_name == "handle_b"
-    assert spec.handler_for("a", Ev2).method_name == "handle_any"
-    assert spec.handler_for("zzz", Ev2).method_name == "handle_any"
+    assert handler_for(spec, "a", Ev1).method_name == "_state_a_handle_a"
+    assert handler_for(spec, "b", Ev1).method_name == "_state_b_handle_b"
+    assert handler_for(spec, "a", Ev2).method_name == "handle_any"
+    assert handler_for(spec, "zzz", Ev2).method_name == "handle_any"
 
 
 def test_spec_subclass_event_resolution():
     spec = Stateful.spec()
-    assert spec.handler_for("a", EvSub).method_name == "handle_a"
+    assert handler_for(spec, "a", EvSub).method_name == "_state_a_handle_a"
 
 
 def test_spec_wants_event_detection():
     spec = Stateful.spec()
-    assert spec.handler_for("a", Ev1).wants_event is True
-    assert spec.handler_for("b", Ev1).wants_event is False
+    assert handler_for(spec, "a", Ev1).wants_event is True
+    assert handler_for(spec, "b", Ev1).wants_event is False
 
 
 def test_spec_entry_exit_actions():
     spec = Stateful.spec()
-    assert spec.entry_actions == {"b": "enter_b"}
-    assert spec.exit_actions == {"a": "exit_a"}
+    assert spec.entry_actions == {"b": "_state_b_on_entry"}
+    assert spec.exit_actions == {"a": "_state_a_on_exit"}
 
 
 def test_action_handler_count():
@@ -79,13 +82,14 @@ def test_on_event_requires_types():
 
 def test_inherited_handlers_are_collected():
     class Child(Stateful):
-        @on_event(Ev2, state="a")
-        def handle_child(self, event):
-            pass
+        class A(State, name="a"):
+            @on_event(Ev2)
+            def handle_child(self, event):
+                pass
 
     spec = build_spec(Child)
-    assert spec.handler_for("a", Ev2).method_name == "handle_child"
-    assert spec.handler_for("b", Ev2).method_name == "handle_any"
+    assert handler_for(spec, "a", Ev2).method_name == "_state_a_handle_child"
+    assert handler_for(spec, "b", Ev2).method_name == "handle_any"
 
 
 def test_wildcard_state_constant():
@@ -125,9 +129,9 @@ def test_base_type_resolution_prefers_most_derived_regardless_of_order():
 
     for cls in (BaseFirst, SpecificFirst):
         spec = build_spec(cls)
-        assert spec.handler_for("init", EvDeep).method_name == "specific"
-        assert spec.handler_for("init", EvSub).method_name == "specific"
-        assert spec.handler_for("init", Ev1).method_name == "general"
+        assert handler_for(spec, "init", EvDeep).method_name == "specific"
+        assert handler_for(spec, "init", EvSub).method_name == "specific"
+        assert handler_for(spec, "init", Ev1).method_name == "general"
 
 
 def test_state_handlers_beat_wildcard_handlers_for_base_matches():
@@ -135,16 +139,15 @@ def test_state_handlers_beat_wildcard_handlers_for_base_matches():
     machine-wide (wildcard) handler, even one bound to the exact type."""
 
     class Layered(Machine):
-        initial_state = "a"
-
-        @on_event(Ev1, state="a")
-        def state_general(self, event):
-            pass
+        class A(State, initial=True, name="a"):
+            @on_event(Ev1)
+            def state_general(self, event):
+                pass
 
         @on_event(EvSub)
         def wildcard_exact(self, event):
             pass
 
     spec = build_spec(Layered)
-    assert spec.handler_for("a", EvSub).method_name == "state_general"
-    assert spec.handler_for("b", EvSub).method_name == "wildcard_exact"
+    assert handler_for(spec, "a", EvSub).method_name == "_state_a_state_general"
+    assert handler_for(spec, "b", EvSub).method_name == "wildcard_exact"

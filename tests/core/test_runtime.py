@@ -11,6 +11,7 @@ from repro.core import (
     Monitor,
     Receive,
     RoundRobinStrategy,
+    State,
     TestRuntime,
     TestingConfig,
     on_event,
@@ -139,22 +140,18 @@ def test_assertion_failure_is_safety_bug():
 
 
 def test_state_transitions_run_entry_and_exit_actions():
-    from repro.core import on_entry, on_exit
-
     class Stateful(Machine):
-        initial_state = "closed"
+        class Closed(State, initial=True, name="closed"):
+            def on_exit(self):
+                self.events.append("exit-closed")
+
+        class Open(State, name="open"):
+            def on_entry(self):
+                self.events.append("enter-open")
 
         def on_start(self):
             self.events = []
             self.goto("open")
-
-        @on_exit("closed")
-        def leaving(self):
-            self.events.append("exit-closed")
-
-        @on_entry("open")
-        def entering(self):
-            self.events.append("enter-open")
 
     runtime = make_runtime(max_steps=10)
     runtime.run(lambda rt: rt.create_machine(Stateful))
@@ -168,8 +165,8 @@ def test_monitor_liveness_violation_at_bound():
         pass
 
     class LivenessMonitor(Monitor):
-        initial_state = "hot"
-        hot_states = frozenset({"hot"})
+        class Hot(State, initial=True, hot=True, name="hot"):
+            pass
 
         @on_event(Progress)
         def progressed(self):
@@ -196,8 +193,8 @@ def test_monitor_goes_cold_no_violation():
         pass
 
     class LivenessMonitor(Monitor):
-        initial_state = "hot"
-        hot_states = frozenset({"hot"})
+        class Hot(State, initial=True, hot=True, name="hot"):
+            pass
 
         @on_event(Progress)
         def progressed(self):

@@ -1,15 +1,16 @@
 """Kernel/controller split: byte-identical ScheduleTrace JSON vs. pre-split.
 
 The layered-runtime refactor (shared :class:`RuntimeKernel` + the serialized
-:class:`TestRuntime` controller) must be invisible to testing mode.  In the
-same spirit as ``tests/examplesys/test_dsl_compat.py``, the seeded
-examplesys scenarios are explored under every built-in strategy and each
-execution's full trace JSON (schedules, controlled choices, per-step states,
-materialized logs of buggy executions) is compared byte-for-byte — via
+:class:`TestRuntime` controller) must be invisible to testing mode.  The
+seeded examplesys scenarios are explored under every built-in strategy and
+each execution's full trace JSON (schedules, controlled choices, per-step
+states, materialized logs of buggy executions) is compared byte-for-byte — via
 SHA-256 digests recorded from the *pre-split* monolithic runtime — together
-with the bug verdicts.  A second sweep cross-checks the post-split runtime
-against :class:`~repro.core._baseline.BaselineRuntime` (the seed reference,
-which predates per-step state recording, hence the steps/log comparison).
+with the bug verdicts.  (``examplesys/both-bugs``, the liveness-monitor path,
+was recorded at PR 18, the last commit with two declaration forms.)  A second
+sweep cross-checks the post-split runtime against
+:class:`~repro.core._baseline.BaselineRuntime` (the seed reference, which
+predates per-step state recording, hence the steps/log comparison).
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from repro.core.registry import get_scenario
 from repro.core.strategy import create_strategy
 
 ALL_STRATEGIES = ["random", "pct", "round-robin", "dfs"]
-SCENARIOS = ["examplesys/safety-bug", "examplesys/fixed"]
+SCENARIOS = ["examplesys/safety-bug", "examplesys/fixed", "examplesys/both-bugs"]
 
 #: SHA-256 digests of every trace JSON the pre-split runtime produced for
 #: the sweep below, generated at the refactor boundary (commit before the

@@ -1,6 +1,8 @@
 """State-DSL semantics: defer/ignore disciplines, the state stack, raised
 events, and their interplay with the incrementally maintained enabled set."""
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -15,7 +17,6 @@ from repro.core import (
     State,
     TestRuntime,
     TestingConfig,
-    on_entry,
     on_event,
 )
 from repro.core.declarations import DEFER, IGNORE, build_spec, resolve_state_name
@@ -69,9 +70,9 @@ def test_spec_collects_dsl_states():
     assert spec.states == {"Closed", "Open"}
     assert spec.deferred == {"Closed": frozenset({Pong})}
     assert spec.ignored == {"Closed": frozenset({Noise})}
-    assert spec.handler_for("Closed", Ping) is not None
-    assert spec.handler_for("Open", Pong) is not None
-    assert spec.handler_for("Open", Ping) is None
+    assert spec.context_for(("Closed",)).handler_only(Ping) is not None
+    assert spec.context_for(("Open",)).handler_only(Pong) is not None
+    assert spec.context_for(("Open",)).handler_only(Ping) is None
 
 
 def test_context_classification_and_plain_flag():
@@ -127,17 +128,6 @@ def test_handler_for_deferred_event_raises():
         build_spec(Contradictory)
 
 
-def test_state_scoped_handler_rejects_state_argument():
-    with pytest.raises(TypeError, match="must not pass state="):
-        class Wrong(Machine):
-            class S(State, initial=True):
-                @on_event(Ping, state="elsewhere")
-                def handle(self, event):
-                    pass
-
-        build_spec(Wrong)
-
-
 def test_two_initial_states_raise():
     with pytest.raises(TypeError, match="more than one initial state"):
         class Twice(Machine):
@@ -169,7 +159,7 @@ def test_subclass_spec_is_not_polluted_by_hoisted_handlers():
     spec = build_spec(Child)
     # The hoisted Door handlers must stay state-scoped in the child's spec,
     # not resurface as wildcard handlers.
-    assert spec.handler_for("Open", Ping) is None
+    assert spec.context_for(("Open",)).handler_only(Ping) is None
     assert spec.initial_state == "Closed"
 
 
@@ -189,20 +179,9 @@ def test_spec_contents_do_not_depend_on_spec_build_order():
     derived_spec = build_spec(FreshDerived)  # before the base's spec exists
     base_spec = build_spec(FreshBase)
     for spec in (derived_spec, base_spec):
-        assert spec.handler_for("Work", Ping) is not None
+        assert spec.context_for(("Work",)).handler_only(Ping) is not None
         # Ping must stay scoped to Work, not leak into every state.
-        assert spec.handler_for("Elsewhere", Ping) is None
-
-
-def test_decorated_entry_actions_inside_state_bodies_are_rejected():
-    with pytest.raises(TypeError, match="plain on_entry"):
-        class Decorated(Machine):
-            class S(State, initial=True):
-                @on_entry("S")
-                def setup(self):
-                    pass
-
-        build_spec(Decorated)
+        assert spec.context_for(("Elsewhere",)).handler_only(Ping) is None
 
 
 def test_plain_helper_methods_inside_state_bodies_are_rejected():
@@ -225,20 +204,72 @@ def test_nested_states_inside_state_bodies_are_rejected():
         build_spec(Nested)
 
 
-def test_cross_form_handler_vs_discipline_conflict_is_rejected():
-    """A legacy state-scoped handler and a DSL discipline for the same event
-    type in the same state must conflict loudly, exactly like the pure-DSL
-    spelling."""
-    with pytest.raises(TypeError, match="both deferred and handled"):
-        class Mixed(Machine):
-            @on_event(Ping, state="Hold")
-            def legacy_handler(self, event):
+def test_redeclared_state_deferring_an_inherited_handler_is_rejected():
+    """A subclass redeclaring state S replaces S's disciplines but inherits
+    the base S's handlers, so deferring what the base handles must conflict
+    loudly, exactly like the same contradiction inside one State body."""
+
+    class Base(Machine):
+        class S(State, initial=True):
+            @on_event(Ping)
+            def h(self, event):
                 pass
 
-            class Hold(State, initial=True):
-                deferred = (Ping,)
+    class Child(Base):
+        class S(State):
+            deferred = (Ping,)
 
-        build_spec(Mixed)
+    with pytest.raises(
+        TypeError, match="Child: Ping in state 'S' is both deferred and handled by _state_S_h"
+    ):
+        build_spec(Child)
+
+
+def test_states_without_an_initial_one_are_rejected():
+    """Regression: such a class used to start in the phantom state "init",
+    so its first event was reported as an unhandled-event bug."""
+
+    class Headless(Machine):
+        class Work(State):
+            @on_event(Ping)
+            def handle(self, event):
+                pass
+
+    with pytest.raises(TypeError, match="Headless declares states .Work. but marks none"):
+        build_spec(Headless)
+
+
+def test_an_inherited_initial_state_counts():
+    class Child(Door):
+        class Ajar(State):
+            pass
+
+    assert build_spec(Child).initial_state == "Closed"
+
+
+def test_a_class_without_states_starts_in_the_implicit_state():
+    class Stateless(Machine):
+        @on_event(Ping)
+        def handle(self, event):
+            pass
+
+    spec = build_spec(Stateless)
+    assert spec.initial_state == "init"
+    assert spec.states == {"init"}
+
+
+@pytest.mark.parametrize(
+    "attr, value, replacement",
+    [
+        ("initial_state", "listening", "class X(State, initial=True)"),
+        ("hot_states", frozenset({"waiting"}), "class X(State, hot=True)"),
+    ],
+)
+@pytest.mark.parametrize("base", [Machine, Monitor])
+def test_left_over_string_state_attributes_are_rejected(base, attr, value, replacement):
+    cls = type("LeftOver", (base,), {attr: value})
+    with pytest.raises(TypeError, match=rf"LeftOver\.{attr}.*{re.escape(replacement)}"):
+        cls.spec()
 
 
 def test_subclass_overrides_state_disciplines():
