@@ -522,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "and cross-process fingerprint sharing; --iterations is "
                      "the total execution budget")
     run.add_argument("--claim-iterations", type=int, default=50, metavar="K",
-                     help="with --parallel: schedules a worker explores per "
-                     "claim before re-splitting its subtree for stealing "
+                     help="with --parallel: schedules a worker explores "
+                     "between reports - every K it streams what it found and "
+                     "splits its subtree if another worker needs work "
                      "(default 50)")
     run.add_argument("--stop-on-bug", action="store_true",
                      help="cancel remaining work as soon as a completed "

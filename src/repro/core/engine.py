@@ -121,10 +121,30 @@ class TestReport:
     def from_json(text: str) -> "TestReport":
         return TestReport.from_dict(json.loads(text))
 
+    def absorb(self, later: "TestReport") -> None:
+        """Append ``later``, the next slice of the session this report began
+        (a claim streams one report per slice, see
+        :meth:`TestingEngine.explore_claim`)."""
+        if self.time_to_first_bug is None and later.time_to_first_bug is not None:
+            self.time_to_first_bug = self.elapsed_seconds + later.time_to_first_bug
+            self.first_bug_iteration = later.first_bug_iteration
+        self.iterations_executed += later.iterations_executed
+        self.bugs.extend(later.bugs)
+        self.elapsed_seconds += later.elapsed_seconds
+        self.coverage.merge(later.coverage)
+        self.state_space_exhausted = later.state_space_exhausted
+
+
+#: what a claim's explorer is asked at a slice boundary: handed the slice's
+#: report and the visited entries proved during it, True means "taken, keep
+#: the subtree", False "hand the remainder back"
+SliceSink = Callable[[TestReport, Dict[int, int]], bool]
+
 
 class ClaimOutcome(NamedTuple):
     """Result of exploring one subtree claim (see :meth:`TestingEngine.explore_claim`)."""
 
+    #: the executions no :data:`SliceSink` took: the claim's last slice
     report: TestReport
     #: the claimed subtree was fully explored within the budget
     exhausted: bool
@@ -134,8 +154,8 @@ class ClaimOutcome(NamedTuple):
     #: unexplored remainder, split into disjoint sub-claims (empty when
     #: ``exhausted`` or ``covered``); each is a decision-prefix path
     frontier: List[Tuple[Tuple[int, int], ...]]
-    #: visited entries this exploration proved (fingerprint -> remaining
-    #: steps), for gossip to other workers
+    #: visited entries proved since the last slice a sink took (fingerprint
+    #: -> remaining steps), for gossip to other workers
     visited_delta: Dict[int, int]
 
 
@@ -170,12 +190,15 @@ class TestingEngine:
         self.shrink = shrink
 
     # ------------------------------------------------------------------
-    def run(self) -> TestReport:
-        """Explore executions until a bug is found or the budget is spent."""
+    def run(self, first_iteration: int = 0) -> TestReport:
+        """Explore executions until a bug is found or the budget is spent.
+
+        ``first_iteration`` is where the strategy's iteration numbering goes
+        on when this call continues an earlier one on the same strategy."""
         report = TestReport(strategy=self.strategy.name, iterations_requested=self.config.iterations)
         started = time.perf_counter()
         max_bugs = self.config.max_bugs if self.config.max_bugs is not None else float("inf")
-        for iteration in range(self.config.iterations):
+        for iteration in range(first_iteration, first_iteration + self.config.iterations):
             self.strategy.prepare_iteration(iteration)
             if self.strategy.exhausted:
                 report.state_space_exhausted = True
@@ -202,16 +225,21 @@ class TestingEngine:
         self,
         claim: Sequence[Tuple[int, int]] = (),
         visited: Optional[Dict[int, int]] = None,
+        sink: Optional[SliceSink] = None,
     ) -> ClaimOutcome:
-        """Explore (a budget's worth of) the subtree rooted at ``claim``.
+        """Explore the subtree rooted at ``claim``, a slice at a time.
 
         The parallel run path: restricts this engine's exhaustive strategy to
         the decision prefix ``claim``, seeds it with ``visited`` entries from
-        other searches, runs up to ``config.iterations`` executions, and —
-        when the budget expired before the subtree did — advances the search
-        one last time and exports the unexplored remainder as sub-claims.
-        An engine (and its strategy) explores exactly one claim; build a
-        fresh one per claim.
+        other searches and runs slices of ``config.iterations`` executions.
+        At the end of a slice that left the subtree unfinished ``sink`` is
+        handed the slice's report and the visited entries proved during it:
+        True means it took them and the search goes on where it stands — same
+        strategy, same stack, iteration numbering continued — with a fresh
+        report; False, or no sink, ends the exploration: the search advances
+        one last time and the unexplored remainder is exported as sub-claims.
+        A slice a bug limit cut short ends it too.  An engine (and its
+        strategy) explores exactly one claim; build a fresh one per claim.
         """
         strategy = self.strategy
         if not getattr(strategy, "supports_claims", False):
@@ -222,15 +250,26 @@ class TestingEngine:
         strategy.set_claim(claim)
         if visited:
             strategy.seed_visited(visited)
-        report = self.run()
+        executed = 0
+        while True:
+            report = self.run(executed)
+            executed += report.iterations_executed
+            if (
+                report.iterations_executed < self.config.iterations
+                or sink is None
+                or not sink(report, strategy.visited_delta)
+            ):
+                break
+            # The sink's consumer may still be reading the dict it was given.
+            strategy.visited_delta = {}
         covered = strategy.claim_covered
         exhausted = strategy.exhausted and not covered
         frontier: List[Tuple[Tuple[int, int], ...]] = []
         if not covered and not exhausted and report.iterations_executed > 0:
-            # The budget ran out mid-subtree: advance past the last executed
-            # schedule (recording its post-order visited entries) and hand
-            # the rest back for other workers to steal.
-            strategy.prepare_iteration(report.iterations_executed)
+            # The subtree outlives the exploration: advance past the last
+            # executed schedule (recording its post-order visited entries)
+            # and hand the rest back for other workers to steal.
+            strategy.prepare_iteration(executed)
             covered = strategy.claim_covered
             exhausted = strategy.exhausted and not covered
             if not exhausted and not covered:

@@ -13,7 +13,9 @@ executions run:
   specs — once, plus one :class:`UnitResult` per unit in a deterministic
   order, and defines the aggregates, the summary line and the JSON
   round-trip that ``python -m repro run`` / ``replay`` / ``shrink`` exchange;
-* a :class:`WorkerPool` runs units of one scenario on worker processes.
+* a :class:`WorkerPool` runs units of one scenario on worker processes; a
+  claim's results stream back a slice at a time and are folded into the one
+  :class:`UnitResult` the report holds.
 
 The two policies over this model live next door:
 :class:`~repro.core.portfolio.Portfolio` (strategies × seed shards, one unit
@@ -35,7 +37,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import TestingConfig
 from .coverage import CoverageTracker
-from .engine import TestingEngine, TestReport
+from .engine import SliceSink, TestingEngine, TestReport
 from .registry import TestCase, get_scenario, import_scenario_modules
 from .runtime import BugInfo
 from .shrink import ShrinkResult
@@ -101,6 +103,10 @@ class UnitResult:
     covered: bool = False
     #: sub-claims the worker exported for stealing (0 when exhausted/covered)
     split: int = 0
+    #: reports the worker sent for this unit, folded into ``report``
+    slices: int = 1
+    #: the split was asked for: the pool's yield flag was up at a slice boundary
+    yielded: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +116,8 @@ class UnitResult:
             "exhausted": self.exhausted,
             "covered": self.covered,
             "split": self.split,
+            "slices": self.slices,
+            "yielded": self.yielded,
         }
 
     @staticmethod
@@ -121,17 +129,25 @@ class UnitResult:
             exhausted=payload.get("exhausted", False),
             covered=payload.get("covered", False),
             split=payload.get("split", 0),
+            slices=payload.get("slices", 1),
+            yielded=payload.get("yielded", False),
         )
 
 
 class UnitOutcome(NamedTuple):
-    """A unit's result plus what a claim hands back to its coordinator."""
+    """One message from a worker: a slice of a claim still being explored,
+    or the end of a unit."""
 
-    result: UnitResult
+    #: the finished unit, its slices folded in arrival order; None while the
+    #: claim goes on
+    result: Optional[UnitResult]
     #: unexplored remainder of a claim, as disjoint sub-claims
     frontier: List[ClaimPath]
-    #: visited entries the exploration proved, for gossip to other workers
+    #: visited entries proved since the claim's previous message, for gossip
+    #: to other workers
     visited_delta: Dict[int, int]
+    #: the executions of this message alone
+    report: TestReport
 
 
 @dataclass
@@ -214,6 +230,8 @@ class HuntReport:
                     "executions": 0,
                     "bugs": 0,
                     "busy_seconds": 0.0,
+                    "slices": 0,
+                    "yields": 0,
                 },
             )
             entry["claims"] += 1
@@ -223,6 +241,8 @@ class HuntReport:
             entry["executions"] += result.report.iterations_executed
             entry["bugs"] += len(result.report.bugs)
             entry["busy_seconds"] += result.report.elapsed_seconds
+            entry["slices"] += result.slices
+            entry["yields"] += 1 if result.yielded else 0
         for entry in stats.values():
             entry["busy_seconds"] = round(entry["busy_seconds"], 6)
         return [stats[worker] for worker in sorted(stats)]
@@ -230,10 +250,14 @@ class HuntReport:
     def summary(self) -> str:
         claims = self.has_claims
         strategies = sorted({result.unit.strategy for result in self.results})
+        units = f"{len(self.results)} jobs"
+        if claims:
+            slices = sum(result.slices for result in self.results)
+            yields = sum(result.yielded for result in self.results)
+            units = f"{len(self.results)} claims ({slices} slices, {yields} split on demand)"
         base = (
             f"{'parallel' if claims else 'portfolio'}[{', '.join(strategies)}] "
-            f"on {self.scenario!r}: {len(self.results)} "
-            f"{'claims' if claims else 'jobs'}, {self.total_iterations} executions "
+            f"on {self.scenario!r}: {units}, {self.total_iterations} executions "
             f"in {self.elapsed_seconds:.2f}s ({self.num_workers} workers)"
         )
         if self.state_space_exhausted:
@@ -336,15 +360,17 @@ def execute_unit(
     unit: WorkUnit,
     visited: Optional[Dict[int, int]] = None,
     worker: int = 0,
+    sink: Optional[SliceSink] = None,
 ) -> UnitOutcome:
-    """Run one unit on a fresh engine: a job's full budget, or (a budget's
-    worth of) a claim's subtree seeded with other workers' ``visited``."""
+    """Run one unit on a fresh engine: a job's full budget, or a claim's
+    subtree seeded with other workers' ``visited`` — one slice of it, or for
+    as long as ``sink`` takes the slices (``TestingEngine.explore_claim``)."""
     engine = TestingEngine(testcase.build(), unit.config(config))
     if unit.claim is None:
         report = engine.run()
         exhausted = report.state_space_exhausted
-        return UnitOutcome(UnitResult(unit, report, worker, exhausted), [], {})
-    outcome = engine.explore_claim(unit.claim, visited)
+        return UnitOutcome(UnitResult(unit, report, worker, exhausted), [], {}, report)
+    outcome = engine.explore_claim(unit.claim, visited, sink)
     result = UnitResult(
         unit,
         outcome.report,
@@ -353,7 +379,7 @@ def execute_unit(
         outcome.covered,
         split=len(outcome.frontier),
     )
-    return UnitOutcome(result, outcome.frontier, outcome.visited_delta)
+    return UnitOutcome(result, outcome.frontier, outcome.visited_delta, outcome.report)
 
 
 def _init_worker(
@@ -373,9 +399,14 @@ def _worker_main(
     imports: Sequence[str],
     tasks,
     results,
+    yield_flag,
 ) -> None:
-    """Pull units, execute each, push results — until the ``None`` sentinel.
-    Top-level so it pickles under every start method."""
+    """Pull units, execute each, push what it produced — until the ``None``
+    sentinel.  A claim is streamed: every slice that leaves its subtree
+    unfinished goes out at once, without waiting for a reply, and the worker
+    keeps the subtree — unless ``yield_flag`` is up or the claim's grant of
+    the run's budget cannot cover another slice, which is when it hands the
+    remainder back.  Top-level so it pickles under every start method."""
     import traceback
 
     try:
@@ -387,13 +418,37 @@ def _worker_main(
         task = tasks.get()
         if task is None:
             return
-        try:
-            outcome = execute_unit(testcase, config, *task, worker=worker_id)
+        unit, visited, grant = task
+        slices = 1
+        yielded = False
+
+        def sink(report: TestReport, visited_delta: Dict[int, int]) -> bool:
+            nonlocal grant, slices, yielded
+            grant -= report.iterations_executed
+            yielded = yield_flag.is_set()
+            if yielded or grant < unit.iterations:
+                return False
+            slices += 1
             results.put(
                 {
                     "worker": worker_id,
                     "error": None,
-                    "result": outcome.result.to_dict(),
+                    "report": report.to_dict(),
+                    "visited_delta": visited_delta,
+                }
+            )
+            return True
+
+        try:
+            outcome = execute_unit(testcase, config, unit, visited, worker_id, sink)
+            result = outcome.result
+            result.slices = slices
+            result.yielded = yielded and bool(outcome.frontier)
+            results.put(
+                {
+                    "worker": worker_id,
+                    "error": None,
+                    "result": result.to_dict(),
                     "frontier": outcome.frontier,
                     "visited_delta": outcome.visited_delta,
                 }
@@ -407,7 +462,8 @@ class WorkerPool:
 
     The shared ``config`` and ``imports`` cross to each worker once, at
     start-up; a submitted task is only the unit and, for a claim, the visited
-    snapshot.  Results come back in completion order.  Use as a context
+    snapshot and its grant of the run's budget.  Outcomes come back in
+    arrival order: one per job, one per slice of a claim.  Use as a context
     manager: leaving the block stops the workers.
     """
 
@@ -424,14 +480,21 @@ class WorkerPool:
 
         context = multiprocessing.get_context(start_method)  # None = platform default
         self._tasks = context.Queue()
-        self._results = context.Queue()
-        #: units submitted whose outcome has not been read yet
+        # Bounded: a worker streaming faster than its reader decodes blocks in
+        # ``put`` instead of piling reports up in its own feeder buffer.
+        self._results = context.Queue(maxsize=2 * num_workers)
+        #: up while the coordinator wants claims handed back (:meth:`ask_to_yield`)
+        self._yield = context.Event()
+        #: units submitted whose end has not been read yet
         self.outstanding = 0
+        #: worker -> the slices read so far of the claim it is exploring
+        self._folding: Dict[int, TestReport] = {}
         payload = config.to_dict()
+        shared = (scenario, payload, tuple(imports), self._tasks, self._results, self._yield)
         self._workers = [
             context.Process(
                 target=_worker_main,
-                args=(worker_id, scenario, payload, tuple(imports), self._tasks, self._results),
+                args=(worker_id, *shared),
                 daemon=True,
             )
             for worker_id in range(num_workers)
@@ -445,16 +508,28 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(self, unit: WorkUnit, visited: Optional[Dict[int, int]] = None) -> None:
+    def submit(
+        self, unit: WorkUnit, visited: Optional[Dict[int, int]] = None, grant: int = 0
+    ) -> None:
+        """Queue ``unit``.  ``grant`` caps a claim: the executions it may run
+        before it hands its remainder back whether asked to or not."""
         # Queue.put pickles in a feeder thread, possibly after the caller has
         # merged more gossip into ``visited`` — hence the snapshot.
-        self._tasks.put((unit, None if visited is None else dict(visited)))
+        self._tasks.put((unit, None if visited is None else dict(visited), grant))
         self.outstanding += 1
 
+    def ask_to_yield(self, wanted: bool) -> None:
+        """Raise or lower the flag every worker reads at a slice boundary: up,
+        a claim exports its frontier there instead of keeping its subtree."""
+        if wanted:
+            self._yield.set()
+        else:
+            self._yield.clear()
+
     def next_outcome(self) -> UnitOutcome:
-        """Blocking read of the next finished unit that notices dead workers
+        """Blocking read of the next message that notices dead workers
         instead of hanging: a worker killed (OOM, signal) between pulling a
-        task and pushing its result would otherwise leave the caller blocked
+        task and pushing its end would otherwise leave the caller blocked
         forever on a unit that never returns."""
         from queue import Empty  # already loaded: the pool's queues import it
 
@@ -470,14 +545,23 @@ class WorkerPool:
                         f"{len(dead)} worker(s) died without reporting "
                         f"(exit codes {codes})"
                     ) from None
-        self.outstanding -= 1
+        worker = message["worker"]
         if message["error"]:
-            raise RuntimeError(f"worker {message['worker']} failed:\n{message['error']}")
-        return UnitOutcome(
-            UnitResult.from_dict(message["result"]),
-            message["frontier"],
-            message["visited_delta"],
-        )
+            self.outstanding -= 1
+            raise RuntimeError(f"worker {worker} failed:\n{message['error']}")
+        if "result" not in message:
+            report = TestReport.from_dict(message["report"])
+            if worker not in self._folding:
+                self._folding[worker] = TestReport(report.strategy, report.iterations_requested)
+            self._folding[worker].absorb(report)
+            return UnitOutcome(None, [], message["visited_delta"], report)
+        self.outstanding -= 1
+        result = UnitResult.from_dict(message["result"])
+        report = result.report
+        if worker in self._folding:
+            result.report = self._folding.pop(worker)
+            result.report.absorb(report)
+        return UnitOutcome(result, message["frontier"], message["visited_delta"], report)
 
     def close(self) -> None:
         """Stop the workers.  With every outcome read they exit on a

@@ -16,27 +16,51 @@ Coordinator/worker protocol
 
 ::
 
-    coordinator                         worker 0..N-1
-    ───────────                         ─────────────
-    pending ── claim+visited ──▶ task queue ──▶ replay frozen prefix,
-      ▲                                         exhaust subtree for up to
-      │                                         claim_iterations schedules
-      └── result queue ◀── report, frontier, ◀──┘
-          merge visited    visited delta
+    coordinator                                    worker 0..N-1
+    ───────────                                    ─────────────
+    pending ── claim, visited, grant ─▶ task queue ─▶ replay the frozen prefix
+      ▲                                             ┌▶ explore one slice:
+      │  fold report,  ◀─ result queue ◀─ slice: ───┤  claim_iterations schedules
+      │  merge visited                    report,   └─ subtree unfinished, flag
+      │                                   delta        down, grant left: go on
+      │
+      └─ re-queue      ◀─ result queue ◀─ end: ─────── flag up or grant spent:
+         frontier                         report,      advance once, export the
+                                          delta,       frontier (or the subtree
+                                          frontier     is exhausted / covered)
+    yield flag ─────────────────────────────────────▶ read at each slice boundary
 
-The coordinator keeps at most one outstanding claim per worker, so every
-dispatched claim carries a fresh snapshot of the *global* visited set.
-Work stealing is dynamic: a worker whose claim outlives its per-claim budget
+A worker keeps the subtree it was given: at the end of every slice of
+``claim_iterations`` schedules it puts that slice's report and the visited
+entries proved during it on the result queue — without waiting for a reply,
+so its memory holds one slice and the coordinator decodes while it runs —
+and carries on with the same engine, strategy and stack.  It hands work back
+only on demand.  The pool owns one *yield flag* (a ``multiprocessing.Event``);
+the coordinator raises it while the queue of pending claims is empty or a
+worker sits idle (so the next worker to finish, or the idle one, would find
+nothing), and once ``stop_on_first_bug`` has fired, and lowers it when
+``pending`` refills.  A worker that finds the flag up at a slice boundary
 advances the search one last step and exports the unexplored remainder as
 sub-claims (``DFSStrategy.export_frontier``) — the current path plus every
-unvisited right sibling — which the coordinator re-queues for whichever
-worker frees up first, so deep subtrees keep splitting and cores never idle.
+unvisited right sibling — which the coordinator re-queues.  The coordinator
+folds the slices of one claim, in arrival order, into the single
+:class:`~repro.core.hunt.UnitResult` the report holds.
+
+The total budget (``config.iterations``) is held by *grants*, not by the
+flag: a worker streams ahead of what the coordinator has read, so a flag
+raised "at the budget" arrives after the budget is overrun.  Each dispatched
+claim is granted an even share of the executions not yet granted (a slice at
+the least) and hands its remainder back when the grant cannot cover another
+slice; what it did not use returns to the pot when it ends.  So no more than
+``budget + claim_iterations`` executions ever run, and a worker idle for
+want of a grant raises the flag like one idle for want of a claim.
 
 Cross-process stateful dedupe composes through fingerprint gossip: each
-result carries the visited entries the worker proved (post-order, so each is
+message carries the visited entries the worker proved (post-order, so each is
 a globally valid "fully explored with ``r`` steps remaining" fact), the
 coordinator max-merges them (:func:`repro.core.fingerprint.merge_visited`),
-and later claims ship the union.  A worker whose claim *prefix* hits a state
+and every dispatched claim ships a snapshot of the union; a worker learns
+nothing new while it keeps a claim, which is the redundancy that remains.  A worker whose claim *prefix* hits a state
 another worker already exhausted abandons the whole claim
 (``DFSStrategy.claim_covered``) instead of re-exploring it.
 
@@ -83,15 +107,16 @@ class ParallelExplorer:
         config: template :class:`TestingConfig`; ``config.iterations`` is
             the *total* execution budget across all claims (the space is
             usually exhausted first), and ``config.strategy`` is overridden.
-        claim_iterations: per-claim schedule budget before a worker re-splits
-            its subtree for stealing.  Smaller = finer load balancing but
-            more claim overhead.
+        claim_iterations: schedules per slice — how often a worker reports
+            what it found and checks whether it has been asked to split its
+            subtree.  Smaller = quicker to feed an idle worker and fresher
+            gossip, but more messages.
         imports: module names / ``.py`` paths replayed in each worker before
             the registry lookup (the CLI's ``--import``).
         start_method: multiprocessing start method; None = platform default.
-        stop_on_first_bug: stop dispatching new claims once a completed
-            claim reports a bug (in-flight claims still drain, keeping the
-            merge deterministic over completed claims).
+        stop_on_first_bug: stop dispatching new claims once a slice reports
+            a bug (in-flight claims end at their next slice boundary and
+            still drain, keeping the merge deterministic over what ran).
     """
 
     def __init__(
@@ -153,8 +178,9 @@ class ParallelExplorer:
         pending: List[ClaimPath] = [()]
         visited: Dict[int, int] = {}
         results: List[UnitResult] = []
-        budget = self.config.iterations
-        executed = 0
+        #: executions of the total budget not granted to an outstanding claim
+        allowance = self.config.iterations
+        grants: Dict[ClaimPath, int] = {}
         stopping = False
         with WorkerPool(
             self.num_workers,
@@ -163,28 +189,42 @@ class ParallelExplorer:
             self.imports,
             self.start_method,
         ) as pool:
-            while pending or pool.outstanding:
-                if stopping or executed >= budget:
-                    if not pool.outstanding:
-                        break
-                else:
-                    # Keep at most one claim outstanding per worker: each
-                    # dispatch then carries the freshest visited snapshot,
-                    # which is what lets workers skip each other's subtrees.
-                    while pending and pool.outstanding < self.num_workers:
-                        # LIFO: deepest claims first
-                        pool.submit(self._claim(pending.pop(), self.claim_iterations), visited)
+            while True:
+                while (
+                    pending
+                    and pool.outstanding < self.num_workers
+                    and allowance > 0
+                    and not stopping
+                ):
+                    # An even share of what is left for every idle worker, a
+                    # slice at the least: grants never add up to more than the
+                    # budget plus that one slice, whatever is still in flight.
+                    claim = pending.pop()  # LIFO: deepest claims first
+                    grants[claim] = grant = max(
+                        self.claim_iterations,
+                        allowance // (self.num_workers - pool.outstanding),
+                    )
+                    allowance -= grant
+                    pool.submit(self._claim(claim, self.claim_iterations), visited, grant)
                 if not pool.outstanding:
-                    continue
+                    break
+                # A worker idle after that loop lacks a claim or a grant, and
+                # an empty queue means the next one to finish will: either
+                # way somebody has to split.
+                pool.ask_to_yield(
+                    stopping or not pending or pool.outstanding < self.num_workers
+                )
                 outcome = pool.next_outcome()
                 merge_visited(visited, outcome.visited_delta)
-                # Re-queue in reverse so the LIFO pop dispatches the
-                # depth-first-first claim first.
-                pending.extend(reversed(outcome.frontier))
-                results.append(outcome.result)
-                executed += outcome.result.report.iterations_executed
-                if self.stop_on_first_bug and outcome.result.report.bug_found:
+                if self.stop_on_first_bug and outcome.report.bug_found:
                     stopping = True
+                result = outcome.result
+                if result is not None:
+                    # Re-queue in reverse so the LIFO pop dispatches the
+                    # depth-first-first claim first.
+                    pending.extend(reversed(outcome.frontier))
+                    results.append(result)
+                    allowance += grants.pop(result.unit.claim) - result.report.iterations_executed
         report.merge(results)
         report.stopped_early = bool(pending) or stopping
 

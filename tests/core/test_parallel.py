@@ -9,7 +9,11 @@ The load-bearing properties:
   fingerprint set as the serial search (the sets, not just the counts);
 * the shared visited set composes across processes under the ``spawn``
   start method and is invariant under ``PYTHONHASHSEED``;
-* ``num_workers=1`` is trace-for-trace the serial engine.
+* ``num_workers=1`` is trace-for-trace the serial engine;
+* a claim is streamed a slice at a time and split only on demand, and none of
+  that changes what is found: on scenarios where some schedules fail and some
+  do not, bug signatures, fingerprints and replayability equal the serial
+  search's for every slice size and start method.
 """
 
 import os
@@ -33,6 +37,7 @@ from repro.core import (
     load_builtin_scenarios,
 )
 from repro.core.fingerprint import merge_visited
+from repro.core.hunt import WorkerPool
 from repro.core.strategy.dfs_strategy import DFSStrategy
 
 SCENARIO = "vnext/failover-1node"
@@ -216,6 +221,81 @@ def test_parallel_spawn_shares_fingerprints_across_processes():
     assert parallel.total_iterations <= 2 * serial.iterations_executed
 
 
+#: scenarios whose bounded space mixes failing and passing schedules (bound 10,
+#: stateful dfs): 714 of 4 804 and 1 609 of 6 149 schedules end in a bug, so
+#: "the same bugs as serial" can fail — on ``vnext/failover-1node`` every
+#: schedule is the same step-bound artefact and it cannot
+MIXED_OUTCOME = ["examplesys/flush-flat-write-during-flush", "fabric/cscale-initialization"]
+_serial_runs: dict = {}
+_replayed: dict = {}
+
+
+def _mixed_config() -> TestingConfig:
+    return _config(max_steps=10, stateful=True, fingerprints=True)
+
+
+def _serial_reference(name):
+    if name not in _serial_runs:
+        load_builtin_scenarios()
+        engine = TestingEngine(get_scenario(name).build(), _mixed_config())
+        _serial_runs[name] = engine.run()
+    return _serial_runs[name]
+
+
+def _strict_replays(name, bug) -> bool:
+    """Replay ``bug.trace`` (once per distinct schedule of the module run)."""
+    schedule = (name, tuple((step.kind, step.value) for step in bug.trace.steps))
+    if schedule not in _replayed:
+        engine = TestingEngine(get_scenario(name).build(), _mixed_config())
+        again = engine.replay(bug.trace)
+        _replayed[schedule] = again is not None and (again.kind, again.message) == (
+            bug.kind,
+            bug.message,
+        )
+    return _replayed[schedule]
+
+
+@pytest.mark.parametrize("claim_iterations", [1, 7, 10_000])
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("name", MIXED_OUTCOME)
+def test_streamed_claims_find_what_serial_finds_on_mixed_outcomes(
+    name, start_method, claim_iterations
+):
+    serial = _serial_reference(name)
+    assert serial.state_space_exhausted
+    assert 0 < len(serial.bugs) < serial.iterations_executed  # neither none nor all
+    parallel = ParallelExplorer(
+        name,
+        strategy="dfs",
+        num_workers=2,
+        config=_mixed_config(),
+        claim_iterations=claim_iterations,
+        start_method=start_method,
+    ).run()
+    assert parallel.state_space_exhausted
+    signatures = {(bug.kind, bug.message) for bug in parallel.bugs}
+    assert signatures == {(bug.kind, bug.message) for bug in serial.bugs}
+    assert parallel.merged_coverage.fingerprints == serial.coverage.fingerprints
+    assert all(_strict_replays(name, bug) for bug in parallel.bugs)
+    # Claims are disjoint and so are the slices of one: no schedule comes back
+    # twice.  (A covered claim is left out: its one execution walks out of
+    # the abandoned prefix through first branches, which is somebody else's
+    # schedule.)
+    schedules = [
+        digest
+        for result in parallel.results
+        if not result.covered
+        for digest in _schedule_digests(result.report)
+    ]
+    assert len(set(schedules)) == len(schedules)
+    # The only surplus over the serial count is what one worker explored
+    # before it could know the other had.
+    assert parallel.total_iterations <= 2 * serial.iterations_executed
+    if claim_iterations == 10_000:
+        # the first slice outlasts the space: one claim, never asked to split
+        assert [result.split for result in parallel.results] == [0]
+
+
 def test_parallel_fingerprint_digest_invariant_under_hashseed():
     """The merged distinct-state set is a pure function of the program: a
     fresh interpreter with a different PYTHONHASHSEED, running the parallel
@@ -300,6 +380,13 @@ def test_parallel_report_round_trip_and_stats():
     stats = report.worker_stats()
     assert sum(entry["claims"] for entry in stats) == len(report.results)
     assert sum(entry["executions"] for entry in stats) == report.total_iterations
+    # where the time went: reports streamed, and splits the coordinator asked for
+    slices = sum(entry["slices"] for entry in stats)
+    yields = sum(entry["yields"] for entry in stats)
+    assert slices == sum(result.slices for result in report.results) >= len(report.results)
+    assert 1 <= yields <= sum(entry["claims_split"] for entry in stats)  # the root, at least
+    assert f"({slices} slices, {yields} split on demand)" in report.summary()
+    assert clone.worker_stats() == stats
 
     # claims are numbered in claim (depth-first) order, each with the
     # per-claim budget; the shared config lives on the report, once
@@ -342,39 +429,62 @@ def test_explore_scenario_convenience():
 # ---------------------------------------------------------------------------
 # the worker pool both front-ends share: a dead worker is an error, not a hang
 # ---------------------------------------------------------------------------
-_SELF_KILL_MODULE = """\
+_FAULT_MODULE = """\
 import multiprocessing, os, signal
 from repro import scenario
+from repro.core import get_scenario, load_builtin_scenarios
 
-@scenario("fault/self-kill")
-def self_kill():
+executions = 0  # of this worker process, over every unit it runs
+
+
+@scenario("fault/in-worker")
+def in_worker():
+    load_builtin_scenarios()
+    inner = get_scenario("vnext/failover-1node").build()
+
     def entry(runtime):
+        global executions
         if multiprocessing.parent_process() is not None:  # never the test process
-            os.kill(os.getpid(), signal.SIGKILL)
+            executions += 1
+            if executions > {survives}:
+                {fault}
+        inner(runtime)
+
     return entry
 """
+_SIGKILL = "os.kill(os.getpid(), signal.SIGKILL)"
 
 
-@pytest.mark.parametrize("front_end", ["portfolio", "parallel"])
-def test_worker_killed_mid_unit_raises_instead_of_hanging(front_end, tmp_path):
-    """Fault injection under the configured start method: the scenario's
-    entry SIGKILLs the worker executing it.  The scenario is registered only
-    in the workers (through ``imports``), never in this process."""
-    module = tmp_path / "self_kill_scenario.py"
-    module.write_text(_SELF_KILL_MODULE)
+def _fault_scenario(tmp_path, survives, fault=_SIGKILL):
+    """A scenario registered only in the workers (through ``imports``), whose
+    entry runs ``fault`` once its process has completed ``survives``
+    executions.  Returns ``(testcase, imports)``."""
+    module = tmp_path / "fault_scenario.py"
+    module.write_text(_FAULT_MODULE.format(survives=survives, fault=fault))
 
     def unreachable():
         raise AssertionError("the fault scenario must only run in workers")
 
-    testcase = TestCase(name="fault/self-kill", build=unreachable)
+    return TestCase(name="fault/in-worker", build=unreachable), (str(module),)
+
+
+@pytest.mark.parametrize("survives", [0, 9])
+@pytest.mark.parametrize("front_end", ["portfolio", "parallel"])
+def test_worker_killed_mid_unit_raises_instead_of_hanging(front_end, survives, tmp_path):
+    """Fault injection under the configured start method: the scenario's
+    entry SIGKILLs the worker executing it — at once, or ten executions in:
+    mid-job for the portfolio, with slices of its claims already streamed
+    for the parallel search."""
+    testcase, imports = _fault_scenario(tmp_path, survives)
     if front_end == "portfolio":
         hunt = Portfolio(
-            testcase, strategies=["random"], iterations=4, num_shards=2,
-            num_workers=2, imports=(str(module),),
+            testcase, strategies=["random"], iterations=40, num_shards=2,
+            num_workers=2, config=_config(), imports=imports,
         )
     else:
         hunt = ParallelExplorer(
-            testcase, strategy="dfs", num_workers=2, imports=(str(module),)
+            testcase, strategy="dfs", num_workers=2, config=_config(),
+            claim_iterations=2, imports=imports,
         )
 
     def wedged(signum, frame):
@@ -390,3 +500,43 @@ def test_worker_killed_mid_unit_raises_instead_of_hanging(front_end, tmp_path):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - started < 15
+
+
+def _two_disjoint_claims():
+    """The two largest sub-claims of the root, from a two-schedule scout."""
+    scout = TestingEngine(_testcase().build(), _config(iterations=2))
+    frontier = scout.explore_claim(()).frontier
+    return [WorkUnit(0, "dfs", 0, 2, claim=path) for path in frontier[-2:]]
+
+
+def test_slices_of_a_killed_worker_are_not_a_finished_claim(tmp_path):
+    """Slices streamed, then SIGKILL: what was read stays a partial claim —
+    never an outcome with a result, so nothing can merge it as exhausted or
+    drop its frontier — and the next read is the named error."""
+    testcase, imports = _fault_scenario(tmp_path, survives=21)
+    claim = _two_disjoint_claims()[-1]
+    outcomes = []
+    with pytest.raises(RuntimeError, match=r"died without reporting \(exit codes \[-9"):
+        with WorkerPool(1, testcase.name, _config(), imports) as pool:
+            pool.submit(claim, grant=1_000_000)  # never asked to yield
+            while pool.outstanding:
+                outcomes.append(pool.next_outcome())
+    assert outcomes, "ten slices went out before the kill"
+    assert all(outcome.result is None and not outcome.frontier for outcome in outcomes)
+    assert all(outcome.report.iterations_executed == 2 for outcome in outcomes)
+    assert pool.outstanding == 1
+
+
+def test_worker_exception_mid_claim_is_reported_once_and_stops_the_pool(tmp_path):
+    testcase, imports = _fault_scenario(tmp_path, 9, 'raise ValueError("boom")')
+    with pytest.raises(RuntimeError, match=r"worker \d failed") as caught:
+        with WorkerPool(2, testcase.name, _config(), imports) as pool:
+            for claim in _two_disjoint_claims():
+                pool.submit(claim, grant=1_000_000)
+            while pool.outstanding:
+                pool.next_outcome()
+    assert str(caught.value).count("Traceback") == 1
+    assert str(caught.value).count("ValueError: boom") == 1
+    # the other worker was mid-claim: terminated, not left to finish it
+    assert pool.outstanding == 1
+    assert not any(worker.is_alive() for worker in pool._workers)
