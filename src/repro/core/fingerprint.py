@@ -7,8 +7,10 @@ pending start arguments, plus every registered monitor's state — in one
 64-bit value.  The testing runtime maintains it *incrementally*, alongside
 the enabled-set bookkeeping: every enqueue/dequeue updates a rolling queue
 hash in O(1), every dispatched step refreshes only the executed machine's
-component, and the global value is the XOR-fold of the per-machine and
-per-monitor components.  Nothing ever rescans the whole system — and nothing
+component — through a memo keyed on its whole local state while the record is
+cold, by re-digesting only the attributes the step changed once it is warm —
+and the global value is the XOR-fold of the per-machine and per-monitor
+components.  Nothing ever rescans the whole system — and nothing
 is maintained before anybody looks: the tracker builds its records at the
 first observation of an execution, or is handed them back from a
 :meth:`FingerprintTracker.snapshot` by a search that has been in this state
@@ -200,21 +202,24 @@ def stable_hash(value) -> "tuple[int, bool]":
     return int.from_bytes(digest, "big"), exact
 
 
-def _sub_digest(value, path) -> "tuple[bytes, bool]":
+def _sub_digest(value, path, key=False) -> "tuple[bytes, bool]":
     """Digest of one value in isolation, through the memo.
 
     ``path`` is the encoder's cycle table (see :func:`_feed`).  A value that
     reaches a container on it is part of a cycle, so freezing it runs out of
     tokens and it is encoded directly: its back-reference markers depend on
-    where it sits and must not be shared.
+    where it sits and must not be shared.  A caller that froze ``value``
+    already passes its ``key`` (``None``: it has none).
     """
-    tokens: List[Any] = []
-    try:
-        _FREEZERS[value.__class__](value, tokens)
-    except _Unfreezable:
-        key = None
-    else:
-        key = tuple(tokens)
+    if key is False:
+        tokens: List[Any] = []
+        try:
+            _FREEZERS[value.__class__](value, tokens)
+        except _Unfreezable:
+            key = None
+        else:
+            key = tuple(tokens)
+    if key is not None:
         hit = _MEMO.get(key)
         if hit is not None:
             return hit
@@ -530,9 +535,14 @@ def _hash_public_attrs(attrs: dict) -> "tuple[int, bool]":
         digest, item_exact = _sub_digest(attrs[name], path)
         exact &= item_exact
         entries.append(name_digest + digest)
+    return _hash_entries(entries), exact
+
+
+def _hash_entries(entries: List[bytes]) -> int:
+    """The dict hash of ``name_digest + value_digest`` entries (sorts them)."""
     hasher = blake2b(digest_size=8)
     _feed_unordered(hasher, b"d", entries)
-    return int.from_bytes(hasher.digest(), "big"), exact
+    return int.from_bytes(hasher.digest(), "big")
 
 
 # -- per-class resolution ---------------------------------------------------
@@ -735,12 +745,26 @@ class _QueueHash:
         return twin
 
 
+#: Exact classes whose instances never change (a subclass may carry a
+#: ``__dict__``): the identical object is the same value, unfrozen.
+_ATOMS = frozenset((int, str, bytes, bool, float, type(None), MachineId))
+#: in place of an attribute's previous value when that is no atom: a record
+#: never keeps a user object alive
+_NO_ATOM = object()
+
+
 class _MachineRecord:
-    """Cached fingerprint component of one machine."""
+    """Cached fingerprint component of one machine.
+
+    A warm record (see :meth:`FingerprintTracker._refresh`) also keeps, per
+    public name of ``layout``, the previous value if it is an atom, its key
+    and its ``name_digest + value_digest``, and the other inputs of ``slow``.
+    """
 
     __slots__ = (
         "prefix", "start_exact", "slow", "attrs_exact", "paused", "inbox",
         "raised", "component", "exact", "dirty",
+        "layout", "atoms", "keys", "entries", "status", "ctx", "stack_hash",
     )
 
     def __init__(self, prefix: int, start_exact: bool) -> None:
@@ -757,6 +781,7 @@ class _MachineRecord:
         self.exact = True
         #: some part changed since ``component`` was last folded
         self.dirty = False
+        self.layout: Optional[_Layout] = None
 
     def fold(self) -> int:
         inbox = self.inbox
@@ -775,7 +800,7 @@ class _MachineRecord:
         )
 
     def copy(self) -> "_MachineRecord":
-        """An independent twin of a *folded* record (``dirty`` is False)."""
+        """An independent, cold twin of a *folded* record (``dirty`` is False)."""
         twin = _MachineRecord.__new__(_MachineRecord)
         twin.prefix = self.prefix
         twin.start_exact = self.start_exact
@@ -787,6 +812,7 @@ class _MachineRecord:
         twin.component = self.component
         twin.exact = self.exact
         twin.dirty = False
+        twin.layout = None
         return twin
 
 
@@ -853,14 +879,15 @@ class FingerprintTracker:
         self._global = 0
         #: count of machines/monitors whose component is currently inexact
         self._inexact = 0
-        #: set by :meth:`current` when the latest observation had not been
-        #: seen before in this tracker's lifetime (one execution)
-        self.last_novel = False
-        self._seen: Set[int] = set()
         #: how this tracker came by its records (observability): an
         #: execution of a DFS-family search costs one of the two
         self.builds = 0
         self.restores = 0
+        #: :meth:`_refresh` calls, warm ones that found nothing changed, and
+        #: attribute values digested again
+        self.refreshes = 0
+        self.refresh_unchanged = 0
+        self.attrs_rehashed = 0
 
     # ------------------------------------------------------------------
     # machine lifecycle
@@ -918,31 +945,89 @@ class FingerprintTracker:
             self._refresh(machine, record)
 
     def _refresh(self, machine: "Machine", record: _MachineRecord) -> None:
-        record.paused = (
+        """Bring ``record.slow`` up to date with ``machine``.
+
+        Cold (new, out of a snapshot, or the attribute layout changed): the
+        machine in this local state, as every schedule passing through it
+        finds it, is one memo key for the whole mix.  The first miss turns the
+        record warm: from then on one walk re-digests only the attributes that
+        differ from last time.  The identical object of an ``_ATOMS`` class is
+        unchanged unfrozen; anything else is frozen and its key compared
+        ("equal keys, equal encodings" covers mutation in place); what has no
+        key (inexact, oversized, cyclic) is encoded again every time.
+        """
+        self.refreshes += 1
+        paused = record.paused = (
             machine._coroutine is not None or machine._pending_receive is not None
         )
-        status = (1 if machine._halted else 0) | (2 if record.paused else 0)
-        # The same machine in the same local state, as every schedule that
-        # passes through it finds it: one memo key for the whole mix.
-        tokens: List[Any] = [_MACHINE_STATE, record.prefix, status]
-        try:
-            _freeze_sequence(machine._state_stack, tokens)
-            _freeze_public(machine.__dict__, tokens)
-        except _Unfreezable:
-            key = None
-        else:
-            key = tuple(tokens)
-        slow = None if key is None else _MEMO.get(key)
-        if slow is None:
-            stack_hash = stable_hash(machine._state_stack)[0]
-            attrs_hash, record.attrs_exact = _hash_public_attrs(machine.__dict__)
-            slow = _mix(stack_hash, attrs_hash, status, acc=record.prefix)
-            if key is not None:
-                _MEMO.put(key, slow)
-        else:
-            # only what froze, and so encoded exactly, is ever stored
-            record.attrs_exact = True
-        record.slow = slow
+        status = (1 if machine._halted else 0) | (2 if paused else 0)
+        attrs = machine.__dict__
+        layout = _layout_of(attrs)
+        state_key = None
+        if record.layout is not layout:
+            record.layout = None
+            tokens: List[Any] = [_MACHINE_STATE, record.prefix, status]
+            try:
+                _freeze_sequence(machine._state_stack, tokens)
+                _freeze_public(attrs, tokens)
+            except _Unfreezable:
+                pass
+            else:
+                state_key = tuple(tokens)
+                slow = _MEMO.get(state_key)
+                if slow is not None:
+                    # only what froze, and so encoded exactly, is ever stored
+                    record.attrs_exact = True
+                    record.slow = slow
+                    self._mark_dirty(record)
+                    return
+            size = len(layout.names)
+            record.layout = layout
+            record.atoms = [_NO_ATOM] * size
+            record.keys = [None] * size
+            record.entries = [b""] * size
+            record.ctx = record.status = None  # everything counts as changed
+        ctx = machine._state_ctx  # one per stack tuple per spec
+        changed = status != record.status or ctx is not record.ctx
+        exact = True
+        atoms, keys, entries = record.atoms, record.keys, record.entries
+        for index, name in enumerate(layout.names):
+            value = attrs[name]
+            if value is atoms[index]:
+                continue
+            tokens = []
+            try:
+                _FREEZERS[value.__class__](value, tokens)
+            except _Unfreezable:
+                key = None
+                atoms[index] = _NO_ATOM
+            else:
+                key = tuple(tokens)
+                atoms[index] = value if value.__class__ in _ATOMS else _NO_ATOM
+                if key == keys[index]:
+                    continue  # rebound to an equal value, or mutated and back
+            keys[index] = key
+            self.attrs_rehashed += 1
+            # one ancestor on the path, as in ``_hash_public_attrs``
+            digest, item_exact = _sub_digest(value, {0: 0}, key)
+            exact &= item_exact
+            entry = layout.digests[index] + digest
+            if entry != entries[index]:
+                entries[index] = entry
+                changed = True
+        if not changed:
+            self.refresh_unchanged += 1
+            return
+        if ctx is not record.ctx:
+            record.ctx = ctx
+            record.stack_hash = stable_hash(machine._state_stack)[0]
+        record.status = status
+        record.attrs_exact = exact
+        record.slow = _mix(
+            record.stack_hash, _hash_entries(entries.copy()), status, acc=record.prefix
+        )
+        if state_key is not None:
+            _MEMO.put(state_key, record.slow)
         self._mark_dirty(record)
 
     def _mark_dirty(self, record: _MachineRecord) -> None:
@@ -1051,11 +1136,7 @@ class FingerprintTracker:
             for monitor_cls in self._dirty_monitors:
                 self._refresh_monitor(monitor_cls)
             self._dirty_monitors.clear()
-        value = self._global
-        self.last_novel = value not in self._seen
-        if self.last_novel:
-            self._seen.add(value)
-        return Fingerprint(value, self._inexact == 0)
+        return Fingerprint(self._global, self._inexact == 0)
 
     def recompute(self) -> Fingerprint:
         """The fingerprint rebuilt from scratch (for invariant checking).
@@ -1103,9 +1184,7 @@ class FingerprintTracker:
 
         The caller vouches that the program is in the state it was in then
         (a deterministic replay of the same decision prefix).  Hooks that
-        fired before are superseded; ``last_novel`` keeps counting from the
-        observations *this* tracker made, which only ``feedback`` reads and
-        it never restores.
+        fired before are superseded.
         """
         records, components, monitor_exact, self._global, self._inexact = snapshot
         self._records = {value: record.copy() for value, record in records.items()}

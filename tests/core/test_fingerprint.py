@@ -7,6 +7,7 @@ every machine and monitor — checked here at *every scheduling point* of real
 harness executions via a delegating strategy.
 """
 
+import copy
 import enum
 import subprocess
 import sys
@@ -18,9 +19,11 @@ import pytest
 from repro.analysis import independence_for_classes
 from repro.analysis.extract import discover_classes
 from repro.core import (
+    CoverageTracker,
     Event,
     Machine,
     Receive,
+    State,
     TestingConfig,
     TestingEngine,
     TestRuntime,
@@ -30,9 +33,12 @@ from repro.core import (
 from repro.core import fingerprint
 from repro.core.fingerprint import FingerprintTracker, stable_hash
 from repro.core.ids import MachineId
+from repro.core.registry import get_scenario, load_builtin_scenarios
 from repro.core.strategy import DFSStrategy, RandomStrategy
 from repro.examplesys.harness.scenarios import build_replication_test
 from repro.vnext.harness.scenarios import build_failover_test
+
+from .test_replay_cache import _scenario_names
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +396,50 @@ def test_incremental_fingerprint_matches_recompute_on_replication():
     _run_with_invariant(build_replication_test(num_nodes=3, num_requests=2))
 
 
+def _encoded_slow(machine, prefix):
+    """``(slow, attrs_exact)`` of a machine by the formula ``_refresh``
+    memoises and diffs, from the encoder alone."""
+    paused = machine._coroutine is not None or machine._pending_receive is not None
+    status = (1 if machine._halted else 0) | (2 if paused else 0)
+    with memo_disabled():
+        stack_hash = stable_hash(machine._state_stack)[0]
+        attrs_hash, attrs_exact = fingerprint._hash_public_attrs(machine.__dict__)
+    return fingerprint._mix(stack_hash, attrs_hash, status, acc=prefix), attrs_exact
+
+
+@pytest.mark.parametrize("name", _scenario_names(), ids=lambda name: name.replace("/", "-"))
+def test_every_refresh_matches_the_encoder_on_every_registered_scenario(name, monkeypatch):
+    """200 random steps of each scenario, every refresh of every record
+    checked — whatever shapes of attribute the harnesses keep, a cold hit, a
+    warm-up and a warm diff all leave what encoding everything again gives.
+
+    The migratingtable machines share their tables and mutate the arguments
+    they were started with, so a step of one moves what another's record (and
+    ``recompute``'s prefixes) were derived from: there only the refreshed
+    record is an oracle; everywhere else the rebuilt global value is held too.
+    """
+    import repro.core.runtime.testing as testing_runtime
+
+    seen = {"refreshes": 0, "warm": 0}
+
+    class CheckingTracker(FingerprintTracker):
+        def _refresh(self, machine, record):
+            seen["warm"] += record.layout is not None
+            super()._refresh(machine, record)
+            seen["refreshes"] += 1
+            assert (record.slow, record.attrs_exact) == _encoded_slow(machine, record.prefix)
+
+    monkeypatch.setattr(testing_runtime, "FingerprintTracker", CheckingTracker)
+    config = TestingConfig(
+        iterations=1, max_steps=200, fingerprints=True, stop_at_first_bug=False, max_bugs=None
+    )
+    shares_state = name.startswith("migratingtable/")
+    strategy = (RandomStrategy if shares_state else InvariantCheckingStrategy)(seed=11)
+    TestingEngine(get_scenario(name).build(), config, strategy).run()
+    assert seen["refreshes"] > 5 and seen["warm"] > 0
+    assert shares_state or strategy.checks > 5
+
+
 _SEARCH_ENTRIES = {
     "failover": lambda: build_failover_test(fixed=False, num_nodes=2),
     "replication": lambda: build_replication_test(num_nodes=3, num_requests=2),
@@ -621,3 +671,245 @@ def test_tracker_wants_fingerprints_opt_in():
     observed = runtime.execution_fingerprint()
     assert observed is not None
     assert observed.value == runtime._fingerprint.recompute().value
+
+
+# ---------------------------------------------------------------------------
+# warm records: a refresh that diffs the attributes against the last one must
+# be indistinguishable from a cold tracker encoding all of them again
+# ---------------------------------------------------------------------------
+class Helper:
+    """A user object a machine keeps in a public attribute."""
+
+    def __init__(self):
+        self.items = [1]
+        self.level = 0
+
+
+class Scripted(Machine):
+    class Idle(State, initial=True):
+        pass
+
+    class Busy(State):
+        pass
+
+    class Nested(State):
+        pass
+
+    def on_start(self):
+        self.count = 1000  # above the small-int cache: an equal int is another object
+        self.flag = True
+        self.ratio = 0.0
+        self.items = [1, [2, 3]]
+        self.table = {"a": [1]}
+        self.helper = Helper()
+        self.label = "label"
+        self.peer = MachineId(7, "Peer", "p")
+        self._hidden = 0
+
+
+def _warm_machine(machine_cls=Scripted):
+    """``(tracker, machine)`` of a user-built runtime after a quiescent run,
+    the machine's record warm."""
+    fingerprint._MEMO.clear()  # so that the build misses, which is what warms a record
+    strategy = RandomStrategy(seed=0)
+    strategy.prepare_iteration(0)
+    runtime = TestRuntime(strategy, TestingConfig(max_steps=10, fingerprints=True))
+    assert runtime.run(lambda rt: rt.create_machine(machine_cls)) is None
+    (machine,) = runtime._machines.values()
+    tracker = runtime._fingerprint
+    tracker.current()
+    assert tracker._records[machine.id.value].layout is not None
+    return tracker, machine
+
+
+def _touch_and_check(tracker, machine):
+    """What the runtime does after a step of ``machine``, then warm against cold."""
+    tracker.touch(machine)
+    observed = tracker.current()
+    with memo_disabled():
+        assert observed == tracker.recompute()
+    return observed
+
+
+def _set(name, value):
+    return lambda machine: setattr(machine, name, value)
+
+
+CHANGED, SAME, ORIGINAL = "differs from the last", "equals the last", "equals the first"
+
+#: name -> [(mutation of the machine, what the fingerprint must do)]
+WARM_SCRIPTS = {
+    "nested list mutated in place": [
+        (lambda m: m.items[1].append(4), CHANGED),
+        (lambda m: m.items[1].pop(), ORIGINAL),
+    ],
+    "nested dict mutated in place": [
+        (lambda m: m.table["a"].append(2), CHANGED),
+        (lambda m: m.table.update(b=None), CHANGED),
+        (lambda m: (m.table.pop("b"), m.table["a"].pop()), ORIGINAL),
+    ],
+    "helper object mutated in place": [
+        (lambda m: m.helper.items.append(2), CHANGED),
+        (lambda m: setattr(m.helper, "level", 1), CHANGED),
+        (lambda m: setattr(m.helper, "_cache", [1]), SAME),
+        (lambda m: setattr(m.helper, "extra", None), CHANGED),
+    ],
+    "rebound to an equal value that is another object": [
+        (lambda m: setattr(m, "items", copy.deepcopy(m.items)), SAME),
+        (lambda m: setattr(m, "helper", copy.deepcopy(m.helper)), SAME),
+        (_set("count", int("1000")), SAME),
+        (_set("label", "".join(["la", "bel"])), SAME),
+        (_set("peer", MachineId(7, "Peer", "p")), SAME),
+        (_set("peer", MachineId(7, "Other", "p")), CHANGED),  # == compares the value alone
+    ],
+    "rebound to a value that is equal as a dict key and encodes differently": [
+        (_set("flag", 1), CHANGED),
+        (_set("flag", 1.0), CHANGED),
+        (_set("flag", True), ORIGINAL),
+        (_set("ratio", -0.0), CHANGED),
+    ],
+    "scalar subclass that carries attributes, mutated in place": [
+        (_set("label", Tagged("label")), CHANGED),  # never an atom: the exact class decides
+        (lambda m: setattr(m.label, "unit", "m"), CHANGED),
+        (lambda m: setattr(m.label, "unit", "s"), CHANGED),
+        (_set("color", Color.RED), CHANGED),
+        (_set("color", Shade.RED), CHANGED),
+    ],
+    "private names": [
+        (lambda m: setattr(m, "_hidden", m._hidden + 1), SAME),
+        (_set("_scratch", [1]), SAME),  # another layout, the same public names
+        (lambda m: m._scratch.append(2), SAME),
+        (lambda m: delattr(m, "_scratch"), SAME),
+    ],
+    "attribute added and deleted": [
+        (_set("extra", 1), CHANGED),
+        (lambda m: delattr(m, "extra"), ORIGINAL),  # a memo hit under the first layout ...
+        (_set("extra", 1), CHANGED),  # ... must not leave the second one's cache behind
+        (_set("extra", 2), CHANGED),
+        (lambda m: delattr(m, "extra"), ORIGINAL),
+        (lambda m: delattr(m, "ratio"), CHANGED),
+    ],
+    "values without a key": [
+        (_set("big", list(range(100))), CHANGED),  # over _MAX_TOKENS
+        (lambda m: m.big.__setitem__(70, -1), CHANGED),
+        (lambda m: None, SAME),
+        (_set("label", "x" * 100), CHANGED),  # over _MAX_ATOM
+        (_set("label", "x" * 99 + "y"), CHANGED),
+        (_set("count", 1 << 70), CHANGED),  # over _MAX_INT
+        (_set("count", (1 << 70) + 1), CHANGED),
+        (lambda m: m.items.append(m.items), CHANGED),  # cyclic
+        (lambda m: m.items.__setitem__(0, 9), CHANGED),
+        (_set("count", 5), CHANGED),
+    ],
+    "state stack": [
+        (lambda m: m.push_state("Busy"), CHANGED),
+        (lambda m: None, SAME),
+        (lambda m: m.goto(Scripted.Nested), CHANGED),
+        (lambda m: m.pop_state(), ORIGINAL),
+    ],
+    "halt": [
+        (_set("count", 1001), CHANGED),
+        (lambda m: m._runtime._halt_machine(m), CHANGED),
+        (lambda m: None, SAME),
+    ],
+}
+
+
+@pytest.mark.parametrize("script", WARM_SCRIPTS)
+def test_warm_refresh_matches_a_cold_tracker_after(script):
+    tracker, machine = _warm_machine()
+    first = last = _touch_and_check(tracker, machine)
+    assert first.exact
+    for number, (mutate, expected) in enumerate(WARM_SCRIPTS[script]):
+        mutate(machine)
+        observed = _touch_and_check(tracker, machine)
+        assert observed.exact
+        assert {
+            CHANGED: observed not in (last, first),
+            SAME: observed == last,
+            ORIGINAL: observed == first != last,
+        }[expected], f"step {number}: fingerprint {expected!r} expected"
+        last = observed
+    assert tracker.refresh_unchanged >= 1  # the first check above, at the least
+
+
+def test_warm_refresh_follows_an_inexact_attribute():
+    tracker, machine = _warm_machine()
+    exact = _touch_and_check(tracker, machine)
+    machine.handle = object()  # no canonical encoding: a type-only marker
+    inexact = _touch_and_check(tracker, machine)
+    assert exact.exact and not inexact.exact
+    machine.handle = object()  # another object, the same marker
+    assert _touch_and_check(tracker, machine) == inexact
+    machine.items.append(5)
+    changed = _touch_and_check(tracker, machine)
+    assert changed.value != inexact.value and not changed.exact
+    machine.handle = [object()]
+    assert not _touch_and_check(tracker, machine).exact
+    machine.handle[0] = None  # exact again, by a mutation in place
+    assert _touch_and_check(tracker, machine).exact
+    del machine.handle
+    machine.items.pop()
+    assert _touch_and_check(tracker, machine) == exact
+
+
+def test_warm_record_keeps_no_user_object_alive():
+    """Only immutable atoms are remembered by identity; of everything else
+    the record holds a key of primitives and classes, and a digest."""
+    tracker, machine = _warm_machine()
+    _touch_and_check(tracker, machine)
+    (record,) = tracker._records.values()
+    assert {type(atom) for atom in record.atoms} == {int, bool, float, str, MachineId, object}
+    tokens = {type(token) for key in record.keys for token in key}
+    assert tokens <= {int, bool, float, str, type, type(None), fingerprint._Layout}
+    assert record.copy().layout is None  # a snapshot's twin is cold
+
+
+class Pauser(Machine):
+    def on_start(self):
+        self.stage = 0
+        yield  # paused at a scheduling point ...
+        yield  # ... and again, with nothing public changed in between
+        self.stage = 1
+        yield Receive(Pong)  # paused in a receive the inbox can satisfy
+        self.stage = 2
+
+
+def test_warm_record_follows_a_handler_that_pauses():
+    def entry(runtime):
+        runtime.send_event(runtime.create_machine(Pauser), Pong())
+
+    fingerprint._MEMO.clear()
+    strategy = InvariantCheckingStrategy(seed=0)
+    strategy.prepare_iteration(0)
+    # with a coverage tracker, every scheduling point is observed
+    runtime = TestRuntime(
+        strategy, TestingConfig(max_steps=20, fingerprints=True), CoverageTracker()
+    )
+    assert runtime.run(entry) is None and runtime.termination_reason == "quiescence"
+    tracker = runtime._fingerprint
+    assert strategy.checks == runtime.step_count == 4
+    # the build and the step that added ``stage`` were cold; the second yield
+    # changed nothing; the receive and the return each changed something
+    assert (tracker.refreshes, tracker.refresh_unchanged) == (5, 1)
+    with memo_disabled():
+        assert tracker.current() == tracker.recompute()
+    assert tracker.current().exact
+
+
+def test_refresh_counters_on_the_cover_random_shape():
+    """One long random execution with every step observed: nearly every state
+    is new, so a record that fell back to cold on every step would re-digest
+    all 4-7 attributes each time and never find a refresh unchanged."""
+    load_builtin_scenarios()
+    testcase = get_scenario("vnext/failover-fixed")
+    config = testcase.default_config(strategy="random", seed=5, max_steps=1500, fingerprints=True)
+    strategy = RandomStrategy(seed=5)
+    strategy.prepare_iteration(0)
+    runtime = TestRuntime(strategy, config, CoverageTracker())
+    assert runtime.run(testcase.build()) is None and runtime.step_count == 1500
+    tracker = runtime._fingerprint
+    assert tracker.refreshes >= 1500
+    assert tracker.attrs_rehashed / tracker.refreshes <= 1.2
+    assert tracker.refresh_unchanged / tracker.refreshes >= 0.2
+    assert len(runtime.coverage.fingerprints) > 1400

@@ -8,7 +8,9 @@ are not counted — and the count per scheduling step is held under a bound set
 ~10 % above what the step path costs today.  A wrapper frame put back between
 the timer and the runtime, a key function in a chooser or a generator
 expression in a pending query each add 0.7–8 calls per step and fail here
-instead of drifting a benchmark.
+instead of drifting a benchmark.  The same execution with fingerprints on and
+coverage observing every step has its own bound: what a refresh and a fold add
+to a step, which a record falling back to re-encoding every attribute doubles.
 
 The execution boundary has the same kind of floor.  ``exhaust-dfs`` is 1 644
 six-step schedules re-created from the root, so its time is ``create_machine``
@@ -77,6 +79,28 @@ def test_python_calls_per_scheduling_step_stay_under_the_floor(strategy_name):
     )
 
 
+#: With fingerprints on and coverage observing every step, the refresh and the
+#: fold ride on each of them: measured 44.7 when the bound was set, with a warm
+#: record diffing its attributes; re-keying and re-hashing all of them was 75.6.
+MAX_CALLS_PER_OBSERVED_STEP = 52
+
+
+def test_python_calls_per_observed_step_stay_under_the_floor():
+    load_builtin_scenarios()
+    testcase = get_scenario("vnext/extent-node-liveness")
+    config = testcase.default_config(
+        strategy="random", seed=5, iterations=1, max_steps=500, fingerprints=True,
+        stop_at_first_bug=False,
+    )
+    TestingEngine(testcase.build(), config).run()  # specs and resolutions, as above
+    calls, report = _python_calls(TestingEngine(testcase.build(), config).run)
+    assert not report.bugs and len(report.coverage.fingerprints) > 450
+    per_step = calls / config.max_steps
+    assert per_step <= MAX_CALLS_PER_OBSERVED_STEP, (
+        f"{per_step:.2f} Python-level calls per step with fingerprints on"
+    )
+
+
 #: measured 201.1 (whole 1 644-schedule exhaust) when the bound was set; the
 #: execution path this replaced measured 271.2.
 MAX_CALLS_PER_EXECUTION = 222
@@ -87,13 +111,13 @@ MAX_CALLS_PER_EXECUTION = 222
 MAX_GARBAGE_PER_EXECUTION = 25
 
 
-def _exhaust_engine(iterations):
+def _exhaust_engine(iterations, fingerprints=False):
     """``exhaust-dfs`` as the benchmark configures it, cut to ``iterations``."""
     load_builtin_scenarios()
     testcase = get_scenario("vnext/failover-1node")
     config = testcase.default_config(
         strategy="dfs", seed=0, iterations=iterations, max_steps=6,
-        stop_at_first_bug=False, max_bugs=None, max_log_records=16,
+        stop_at_first_bug=False, max_bugs=None, max_log_records=16, fingerprints=fingerprints,
     )
     return TestingEngine(testcase.build(), config)
 
@@ -109,9 +133,10 @@ def test_python_calls_per_recreated_execution_stay_under_the_floor():
     )
 
 
-def test_a_finished_execution_leaves_the_collector_only_the_harness_cycle():
-    _exhaust_engine(5).run()
-    engine = _exhaust_engine(50)
+@pytest.mark.parametrize("fingerprints", [False, True], ids=["plain", "fingerprints"])
+def test_a_finished_execution_leaves_the_collector_only_the_harness_cycle(fingerprints):
+    _exhaust_engine(5, fingerprints).run()
+    engine = _exhaust_engine(50, fingerprints)
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

@@ -19,7 +19,15 @@ from repro.core.strategy.pct_strategy import PCTStrategy
 from repro.core.strategy.random_strategy import RandomStrategy
 from repro.core.ids import MachineId
 
-from .test_fingerprint import Color, Level, _picker_entry, _run_with_invariant, encode_uncached
+from .test_fingerprint import (
+    Color,
+    Level,
+    _picker_entry,
+    _run_with_invariant,
+    _touch_and_check,
+    _warm_machine,
+    encode_uncached,
+)
 
 
 class Work(Event):
@@ -297,6 +305,48 @@ def test_the_must_change_mutation_is_not_drawn_under_a_private_attribute():
     assert not any(node is hidden for node in _mutable_nodes(value, [], public_only=True))
     hidden.append(1)
     assert fingerprint.stable_hash(value) == before
+
+
+class Blank(Machine):
+    """Starts with no attribute of its own: the property below makes them."""
+
+
+_ATTRIBUTES = ["a", "b", "c", "_p"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_warm_refresh_equals_a_cold_tracker_after_any_mutation_sequence(data):
+    """Rebinding (to anything, to an equal-and-different twin, to the same
+    object), mutation in place at any depth and deletion, in any order, on
+    public and private attributes: after each, the record that diffs and a
+    cold tracker that encodes everything again agree on value and exactness."""
+    tracker, machine = _warm_machine(Blank)
+    tangled = set()  # names that may hold a cycle by now: the helpers above walk acyclic values
+    for _ in range(data.draw(st.integers(1, 8))):
+        name = data.draw(st.sampled_from(_ATTRIBUTES))
+        action = data.draw(st.sampled_from(["bind", "twin", "attach", "delete", "nothing"]))
+        held = vars(machine).get(name, machine)  # the machine itself: the name is not bound
+        if held is machine or action == "bind":
+            setattr(machine, name, data.draw(_values))
+            tangled.discard(name)
+        elif action == "delete":
+            delattr(machine, name)
+            tangled.discard(name)
+        elif action == "twin" and name not in tangled:
+            setattr(machine, name, _twin(held))
+        elif action == "attach" and name not in tangled:
+            nodes = _mutable_nodes(held, [])
+            if nodes:
+                picks = st.integers(0, len(nodes) - 1)
+                if data.draw(st.booleans()):
+                    # a shared sub-object, a cycle or a self-reference
+                    _attach(nodes[data.draw(picks)], nodes[data.draw(picks)])
+                    tangled.add(name)
+                else:
+                    _attach(nodes[data.draw(picks)], data.draw(_leaves))
+        _touch_and_check(tracker, machine)
+    assert tracker.refreshes >= 2
 
 
 @settings(max_examples=10, deadline=None)

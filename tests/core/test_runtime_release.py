@@ -82,13 +82,18 @@ ACYCLIC_RUNS = [
 ]
 
 
+@pytest.mark.parametrize("fingerprints", [False, True], ids=["plain", "fingerprints"])
 @pytest.mark.parametrize("scenario, runtime_cls", ACYCLIC_RUNS)
 def test_machines_of_finished_executions_die_without_the_collector(
-    scenario, runtime_cls, no_collector
+    scenario, runtime_cls, fingerprints, no_collector
 ):
+    """With fingerprints on, every step leaves a warm record behind: it holds
+    keys and digests of the attributes, never the helper objects themselves."""
     load_builtin_scenarios()
     testcase = get_scenario(scenario)
-    config = testcase.default_config(strategy="random", seed=3, iterations=4, max_steps=200)
+    config = testcase.default_config(
+        strategy="random", seed=3, iterations=4, max_steps=200, fingerprints=fingerprints
+    )
     refs = []
     report = TestingEngine(testcase.build(), config, runtime_cls=_spy(runtime_cls, refs)).run()
     assert report.iterations_executed == 4 and not report.bugs
