@@ -4,7 +4,7 @@ The acceptance bar for the concurrent controller: the examplesys service
 sustains >= 50k dispatched events across >= 8 concurrently-running machines
 with zero monitor violations and a clean (quiescent) shutdown — checked on
 every one of three soaks — and the best of the three clears a throughput
-floor ~10x under what the run queue + pump measures on 2 CPUs (~125k ev/s),
+floor ~10x under what the run queue + pump measures on 2 CPUs (~150k ev/s),
 so falling back to a loop turn per event (~60k) is visible in the ledger and
 an order-of-magnitude regression fails the gate.  The numbers land in
 ``BENCH_results.json`` under ``production-soak``.  The same harness classes
@@ -27,8 +27,10 @@ from repro.core import ProductionRuntime
 from repro.examplesys.harness.service import LoadClient, build_service_test
 
 #: Floor on sustained production dispatch throughput (events/second), judged
-#: on the best of three soaks.  With the run queue + pump the 2-CPU dev
-#: container measures 84–126k ev/s (55–65k with a mailbox task per machine);
+#: on the best of three soaks.  With a machine step held in the pump's frame
+#: the 2-CPU dev container (CPython 3.11.7) measures 125–185k ev/s per soak
+#: (84–126k dispatching through per-step helper calls, 55–65k with a mailbox
+#: task per machine; the host drifts that much between soaks);
 #: halve that for a loaded runner and 12k still leaves >= 5x headroom, while
 #: a structural regression (busy polling, a loop turn or a thread hop per
 #: event) lands well under it.

@@ -384,6 +384,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # the run paid asyncio's per-turn cost for every single event.
         "loop_turns": loop_turns,
         "events_per_turn": dispatched / loop_turns if loop_turns else 0.0,
+        # most machines runnable at once, sampled at the top of each turn.
+        "max_run_queue": runtime.max_run_queue,
         "quiesced": quiesced,
         "bug": bug.to_dict() if bug is not None else None,
     }
@@ -394,7 +396,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"served {args.scenario!r} under ProductionRuntime: "
             f"{dispatched} events across {active_machines} machines "
             f"in {elapsed:.2f}s ({stats['events_per_second']:.0f} events/s, "
-            f"{stats['events_per_turn']:.1f} events/turn over {loop_turns} loop turns)"
+            f"{stats['events_per_turn']:.1f} events/turn over {loop_turns} loop turns, "
+            f"run queue <= {runtime.max_run_queue})"
         )
         print("clean shutdown, no monitor violations" if bug is None and quiesced
               else ("timed out before quiescence" if bug is None else f"VIOLATION: {bug}"))

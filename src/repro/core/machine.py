@@ -103,7 +103,7 @@ class Machine:
         self._coroutine = None
         self._pending_receive: Optional[Receive] = None
         #: mirror of this machine's membership in the runtime's enabled set;
-        #: maintained by the runtime and by :meth:`_enqueue`.
+        #: maintained by the runtime (its ``send_event`` holds the enable rule).
         self._enabled = False
         #: per-instance handle on the (class-cached) spec, so dispatch and
         #: transitions skip a dict lookup per event; the classification
@@ -293,28 +293,6 @@ class Machine:
     # ------------------------------------------------------------------
     # runtime-facing helpers (not part of the user API)
     # ------------------------------------------------------------------
-    def _enqueue(self, event: Event) -> None:
-        self._inbox.append(event)
-        counts = self._pending_counts
-        event_type = type(event)
-        counts[event_type] = counts.get(event_type, 0) + 1
-        tracker = self._runtime._fingerprint
-        if tracker is not None:
-            tracker.on_enqueue(self, event)
-        # Incremental enabled-set maintenance: a new event can only make
-        # this machine runnable (never less runnable), and only does so if
-        # the machine is not blocked in a receive the event fails to match
-        # and the current state's disciplines let the event dequeue (an
-        # event that is deferred or ignored right now adds no work).
-        if not self._enabled and not self._halted:
-            receive = self._pending_receive
-            if receive is None:
-                ctx = self._state_ctx
-                if ctx.plain or ctx.dequeuable(event_type):
-                    self._runtime._mark_enabled(self)
-            elif receive.matches(event):
-                self._runtime._mark_enabled(self)
-
     def _has_work(self) -> bool:
         if self._halted:
             return False

@@ -59,6 +59,9 @@ class Monitor:
         #: monotonic goto count; registration uses it to tell "never left the
         #: initial state" from "left and came back".
         self._transition_count = 0
+        #: classification context of the current state, filled by the first
+        #: notification that needs it and dropped by :meth:`goto`.
+        self._state_ctx = None
 
     @classmethod
     def spec(cls) -> StateMachineSpec:
@@ -101,6 +104,7 @@ class Monitor:
         if exit_action is not None:
             getattr(self, exit_action)()
         self._current_state = state
+        self._state_ctx = None
         self._transition_count += 1
         self._runtime.record_monitor_state(self, state)
         entry_action = spec.entry_actions.get(state)
@@ -130,7 +134,9 @@ class Monitor:
         rejected at spec-build time — monitors have no inbox to defer into.)
         """
         event_type = type(event)
-        context = self._spec.context_for((self._current_state,))
+        context = self._state_ctx
+        if context is None:
+            context = self._state_ctx = self._spec.context_for((self._current_state,))
         try:
             info = context.actions[event_type]
         except KeyError:

@@ -31,8 +31,9 @@ Controllers must implement:
   resolve a nondeterministic choice (controlled in testing, random in
   production).
 * ``_mark_enabled(machine)`` / ``_mark_disabled(machine)`` — react to a
-  machine's runnability changing.  ``_mark_enabled`` is called by the
-  enqueue paths only while ``machine._enabled`` is false; each controller
+  machine's runnability changing.  ``_mark_enabled`` is called (by
+  ``send_event``, ``create_machine``, ``raise_event``) only while
+  ``machine._enabled`` is false; each controller
   owns that flag (membership in the sorted enabled set in testing, "on the
   run queue or being dispatched" in production).
 """
@@ -46,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import TestingConfig
 from ..coverage import CoverageTracker
-from ..declarations import DEFER, IGNORE, HandlerInfo, StateRef, resolve_state_name
+from ..declarations import DEFER, IGNORE, StateRef, resolve_state_name
 from ..errors import (
     BugError,
     DeadlockError,
@@ -281,8 +282,8 @@ class RuntimeKernel:
         tracker = self._fingerprint
         if tracker is not None:
             tracker.register_machine(machine)
-        # Machine._enqueue, inlined for a machine known to be fresh (empty
-        # inbox, not halted, not in a receive).
+        # The controllers' send_event enqueue, for a machine known to be
+        # fresh (empty inbox, not halted, not in a receive).
         start = StartEvent()
         machine._inbox.append(start)
         machine._pending_counts[StartEvent] = 1
@@ -487,27 +488,14 @@ class RuntimeKernel:
     # ------------------------------------------------------------------
     # dispatch machinery (shared semantics of one machine step)
     # ------------------------------------------------------------------
-    def _dequeue_next(self, machine: Machine, ctx) -> Event:
-        """Select the next event for one step of ``machine``.
-
-        The reference form of the selection rule (the testing controller
-        inlines it in its hot loop): the raised queue drains first and
-        bypasses disciplines, a discipline-free state pops the inbox head,
-        and otherwise selection goes through the discipline scan.
-        """
-        if machine._raised:
-            event = machine._raised.popleft()
-            if self._fingerprint is not None:
-                self._fingerprint.on_raised_popleft(machine)
-            return event
-        if ctx.plain:
-            event = machine._inbox.popleft()
-            _dec_pending(machine._pending_counts, type(event))
-            if self._fingerprint is not None:
-                self._fingerprint.on_inbox_popleft(machine)
-            return event
-        return self._dequeue_with_disciplines(machine, ctx)
-
+    # The step rule itself (raised queue before inbox, plain pop or discipline
+    # scan, control events aside, handler resolution with the ``handler_only``
+    # fallback for a raised event, the call) has no function of its own: it
+    # lives unrolled in ``TestRuntime._execution_loop`` and
+    # ``ProductionRuntime._pump``, as the enqueue-and-enable rule lives in the
+    # two ``send_event``s.  ``tests/core/test_production.py``'s differential
+    # holds the copies equal branch by branch; ``test_hotpath_calls.py`` bounds
+    # the calls either makes.  Below are the pieces both call.
     def _dequeue_with_disciplines(self, machine: Machine, ctx) -> Event:
         """Dequeue selection under the current state's event disciplines.
 
@@ -584,45 +572,6 @@ class RuntimeKernel:
             entry_action = machine._spec.entry_actions.get(initial)
             if entry_action is not None:
                 self._run_plain_action(machine, entry_action)
-
-    def _dispatch_user_event(self, machine: Machine, event: Event, ctx) -> None:
-        """Resolve and invoke the handler for one non-control event.
-
-        This is the reference (non-inlined) form of the dispatch block the
-        testing controller unrolls into its hot loop; the production
-        controller dispatches through it directly.
-        """
-        event_type = type(event)
-        actions = ctx.actions
-        try:
-            info = actions[event_type]
-        except KeyError:
-            info = ctx.resolve(event_type)
-        if info is not None and info.__class__ is not HandlerInfo:
-            # DEFER/IGNORE classification can only reach dispatch for a
-            # *raised* event (dequeue already applied the disciplines):
-            # disciplines do not govern the raised queue, so fall back to
-            # handler-only resolution.
-            info = ctx.handler_only(event_type)
-        if info is None:
-            self._on_unhandled_event(machine, event, event_type)
-            return
-        self._sink.append((
-            "{}: handling {!r} in state {!r}",
-            machine._id, event, machine._current_state,
-        ))
-        if self.coverage is not None:
-            self.coverage.handled[
-                (type(machine).__name__, machine._current_state, event_type.__name__)
-            ] += 1
-        name = info.method_name
-        handler = machine._bound_handlers.get(name)
-        if handler is None:
-            handler = getattr(machine, name)
-            machine._bound_handlers[name] = handler
-        result = handler(event) if info.wants_event else handler()
-        if result is not None:
-            self._maybe_start_coroutine(machine, result)
 
     def _on_unhandled_event(self, machine: Machine, event: Event, event_type: type) -> None:
         if machine.ignore_unhandled_events:

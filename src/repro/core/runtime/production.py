@@ -12,25 +12,28 @@ Execution model
 ---------------
 
 * **One run queue, one pump.**  Runnable machines wait in a FIFO run queue;
-  one ``call_soon`` callback, the pump, pops the head, dispatches *one* of
-  its events and re-appends it at the tail if it still has work, so each
-  machine's events run strictly in order and machines interleave at every
-  event boundary.  After ``_PUMP_SLICE`` events the pump re-schedules itself
-  behind whatever else is ready: timer tasks, external sends, :meth:`join`
-  probes and :meth:`shutdown` get the loop even while a machine self-sends
-  forever, and their timing keeps cross-machine schedules nondeterministic.
+  one ``call_soon`` callback, the pump, pops the head, runs *one* step of it
+  in its own frame — selection, handler resolution and the handler call, the
+  block ``TestRuntime._execution_loop`` holds — and re-appends it at the tail
+  if it still has work, so each machine's events run strictly in order and
+  machines interleave at every event boundary.  After ``_PUMP_SLICE`` events
+  the pump re-schedules itself behind whatever else is ready: timer tasks,
+  external sends, :meth:`join` probes and :meth:`shutdown` get the loop even
+  while a machine self-sends forever, and their timing keeps cross-machine
+  schedules nondeterministic.
 * **Has work implies queued.**  ``machine._enabled`` is true exactly while
   the machine is on the run queue or being dispatched.  Work arrives only
-  through the enqueue paths (which call ``_mark_enabled`` unless the flag is
-  set) or the machine's own handler (the pump re-checks ``_has_work()``
-  after each dispatch), so an idle machine with work is a lost wake-up:
+  through :meth:`send_event`, the one delivery function (it applies the
+  enable rule in its frame; ``create_machine`` and ``raise_event`` call
+  ``_mark_enabled``), or the machine's own handler (the pump re-checks for
+  work after each step), so an idle machine with work is a lost wake-up:
   :meth:`join` fails with a :class:`~repro.core.errors.FrameworkError`
   instead of hanging.
-* **Thread-safe sends.**  Sends from machine handlers run on the loop thread
-  and deliver directly; sends from any other thread (external clients, load
-  generators, :meth:`post_event`) hop onto the loop via
-  ``call_soon_threadsafe``.  Per-machine FIFO ordering is preserved either
-  way.
+* **Thread-safe sends.**  Sends from machine handlers and timers run on the
+  loop thread and deliver directly; sends from any other thread (external
+  clients, load generators, :meth:`post_event`) hop onto the loop via
+  ``call_soon_threadsafe`` and deliver there.  Per-machine FIFO ordering is
+  preserved either way.
 * **Monitors under a lock.**  Monitor notifications are serialized through an
   ``RLock`` so specification state stays consistent no matter which thread
   or task triggers them; monitor violations raise the same
@@ -65,6 +68,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional
 
 from ..config import TestingConfig
+from ..declarations import HandlerInfo
 from ..errors import BugError, FrameworkError, UnexpectedExceptionError
 from ..events import Event, TimerTick
 from ..ids import MachineId
@@ -80,6 +84,12 @@ if TYPE_CHECKING:
 _PUMP_SLICE = 64
 
 
+def _unexpected(machine: Machine, exc: Exception) -> UnexpectedExceptionError:
+    error = UnexpectedExceptionError(f"{machine.id}: unexpected {type(exc).__name__}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 class ProductionRuntime(RuntimeKernel):
     """Concurrent asyncio-backed runtime for deploying machine programs."""
 
@@ -91,6 +101,8 @@ class ProductionRuntime(RuntimeKernel):
         *,
         tick_interval: float = 0.005,
     ) -> None:
+        # ``coverage`` and ``_fingerprint`` stay None for this runtime's life: the
+        # pump and send_event carry none of their testing twins' per-event guards.
         super().__init__(config, coverage=None)
         #: seconds between wall-clock timer rounds (every registered
         #: TimerMachine shares this period; §3.3's point is precisely that
@@ -108,6 +120,8 @@ class ProductionRuntime(RuntimeKernel):
         self._rng = random.Random(int.from_bytes(os.urandom(16), "little"))
         #: pump turns taken; ``step_count / loop_turns`` is the batching achieved.
         self.loop_turns = 0
+        #: high-water mark of the run queue, sampled once per pump turn.
+        self.max_run_queue = 0
         #: runnable machines in dispatch order (see "Has work implies queued").
         self._run_queue: Deque[Machine] = deque()
         #: a pump callback is pending on the loop or running right now.
@@ -280,7 +294,7 @@ class ProductionRuntime(RuntimeKernel):
     # controller hooks
     # ------------------------------------------------------------------
     def _mark_enabled(self, machine: Machine) -> None:
-        # Only ever called on the loop thread, and (the enqueue paths test
+        # Only ever called on the loop thread, and (its callers test
         # ``_enabled`` first) only for a machine that is neither queued nor
         # mid-dispatch, exactly when new work arrived for it.
         machine._enabled = True
@@ -303,8 +317,14 @@ class ProductionRuntime(RuntimeKernel):
         return self._rng.randrange(max_value)
 
     def notify_monitor(self, monitor_cls: type, event: Event, source: Optional[MachineId] = None) -> None:
+        # RuntimeKernel.notify_monitor's body, held in this frame under the lock.
         with self._monitor_lock:
-            super().notify_monitor(monitor_cls, event, source)
+            monitor = self._monitors.get(monitor_cls)
+            if monitor is None:
+                self.log("monitor {} not registered; dropping {!r}", monitor_cls.__name__, event)
+                return
+            self._sink.append(("monitor {} <- {!r} (from {})", monitor_cls.__name__, event, source))
+            monitor.handle(event)
 
     def _record_bug(self, error: BugError) -> None:
         super()._record_bug(error)
@@ -345,12 +365,45 @@ class ProductionRuntime(RuntimeKernel):
         return super().create_machine(machine_cls, *args, name=name, creator=creator, **kwargs)
 
     def send_event(self, target: MachineId, event: Event, sender: Optional[MachineId] = None) -> None:
+        # The one delivery function, TestRuntime.send_event's twin: enqueue,
+        # pending count and the enable rule (an idle machine becomes runnable
+        # unless the event is deferred/ignored right now or fails the receive
+        # the machine is blocked in) all happen in this frame.
         if not isinstance(event, Event):
             raise FrameworkError(f"send expects an Event instance, got {event!r}")
         if threading.get_ident() != self._loop_thread_id:
             self._post_external(target, event, sender)
             return
-        self._deliver(target, event, sender)
+        machine = self._machines_by_value.get(target.value)
+        if machine is None:
+            raise FrameworkError(f"send to unknown machine {target}")
+        if machine._halted:
+            if sender is not None:
+                self._sink.append(("dropped {} -> {}: {!r} (target halted)", sender, target, event))
+            else:
+                self._sink.append(("dropped {}: {!r} (target halted)", target, event))
+            return
+        machine._inbox.append(event)
+        event_type = type(event)
+        counts = machine._pending_counts
+        counts[event_type] = counts.get(event_type, 0) + 1
+        if not machine._enabled:
+            receive = machine._pending_receive
+            if receive is None:
+                ctx = machine._state_ctx
+                runnable = ctx.plain or ctx.dequeuable(event_type)
+            else:
+                runnable = receive.matches(event)
+            if runnable:  # _mark_enabled, in this frame too
+                machine._enabled = True
+                self._run_queue.append(machine)
+                if not self._pump_scheduled:
+                    self._pump_scheduled = True
+                    self._loop.call_soon(self._pump)
+        if sender is not None:
+            self._sink.append(("sent {} -> {}: {!r}", sender, target, event))
+        else:
+            self._sink.append(("sent {}: {!r}", target, event))
 
     def post_event(self, target: MachineId, event: Event) -> None:
         """Thread-safe external send into the running system.
@@ -383,28 +436,12 @@ class ProductionRuntime(RuntimeKernel):
 
     def _deliver_external(self, target: MachineId, event: Event, sender: Optional[MachineId]) -> None:
         try:
-            self._deliver(target, event, sender)
+            self.send_event(target, event, sender)  # on the loop thread now
         except FrameworkError as error:
             self._fail(error)
         finally:
             with self._external_lock:
                 self._external_inflight -= 1
-
-    def _deliver(self, target: MachineId, event: Event, sender: Optional[MachineId]) -> None:
-        machine = self._machines_by_value.get(target.value)
-        if machine is None:
-            raise FrameworkError(f"send to unknown machine {target}")
-        if machine._halted:
-            if sender is not None:
-                self._sink.append(("dropped {} -> {}: {!r} (target halted)", sender, target, event))
-            else:
-                self._sink.append(("dropped {}: {!r} (target halted)", target, event))
-            return
-        machine._enqueue(event)  # inbox append + pending counts + run queue
-        if sender is not None:
-            self._sink.append(("sent {} -> {}: {!r}", sender, target, event))
-        else:
-            self._sink.append(("sent {}: {!r}", target, event))
 
     # ------------------------------------------------------------------
     # the pump
@@ -412,13 +449,74 @@ class ProductionRuntime(RuntimeKernel):
     def _pump(self) -> None:
         self.loop_turns += 1
         queue = self._run_queue
+        self.max_run_queue = max(self.max_run_queue, len(queue))
+        dispatch_counts = self.dispatch_counts
+        sink_append = self._sink.append
         budget = _PUMP_SLICE
         while queue and budget and not self._stopping:
             budget -= 1
             machine = queue.popleft()
-            if machine._has_work():
+            # Machine._has_work's no-receive case, unrolled here and after the step.
+            if machine._halted:
+                has_work = False
+            elif machine._pending_receive is not None:
+                has_work = machine._has_work()
+            elif machine._coroutine is not None or machine._raised:
+                has_work = True
+            elif machine._state_ctx.plain:
+                has_work = bool(machine._inbox)
+            else:
+                has_work = machine._state_ctx.any_dequeuable(machine._inbox)
+            if has_work:
+                self.step_count += 1
+                value = machine._id.value
+                dispatch_counts[value] = dispatch_counts.get(value, 0) + 1
+                # One machine step in this frame, as TestRuntime._execution_loop
+                # holds it (kernel.py's dispatch-machinery header names the
+                # tests that keep the two equal).
                 try:
-                    self._dispatch_once(machine)
+                    if machine._coroutine is not None:
+                        self._execute_coroutine_step(machine)
+                    else:
+                        ctx = machine._state_ctx
+                        if machine._raised:
+                            event = machine._raised.popleft()
+                            event_type = type(event)
+                        elif ctx.plain:
+                            event = machine._inbox.popleft()
+                            event_type = type(event)
+                            counts = machine._pending_counts  # _dec_pending, inlined
+                            remaining = counts.get(event_type, 1) - 1
+                            if remaining > 0:
+                                counts[event_type] = remaining
+                            else:
+                                counts.pop(event_type, None)
+                        else:
+                            event = self._dequeue_with_disciplines(machine, ctx)
+                            event_type = type(event)
+                        if isinstance(event, _CONTROL_EVENTS):
+                            self._dispatch_control_event(machine, event)
+                        else:
+                            try:
+                                info = ctx.actions[event_type]
+                            except KeyError:
+                                info = ctx.resolve(event_type)
+                            if info is not None and info.__class__ is not HandlerInfo:
+                                # a *raised* event: disciplines do not govern it
+                                info = ctx.handler_only(event_type)
+                            if info is None:
+                                self._on_unhandled_event(machine, event, event_type)
+                            else:
+                                sink_append(("{}: handling {!r} in state {!r}",
+                                             machine._id, event, machine._current_state))
+                                name = info.method_name
+                                handler = machine._bound_handlers.get(name)
+                                if handler is None:
+                                    handler = getattr(machine, name)
+                                    machine._bound_handlers[name] = handler
+                                result = handler(event) if info.wants_event else handler()
+                                if result is not None:
+                                    self._maybe_start_coroutine(machine, result)
                 except MachineHaltRequested:
                     self._halt_machine(machine)
                 except BugError as error:
@@ -428,16 +526,22 @@ class ProductionRuntime(RuntimeKernel):
                     self._fail(error)
                     break
                 except Exception as exc:
-                    error = UnexpectedExceptionError(
-                        f"{machine.id}: unexpected {type(exc).__name__}: {exc}"
-                    )
-                    error.__cause__ = exc
-                    self._record_bug(error)
+                    self._record_bug(_unexpected(machine, exc))
                     break
                 # One event, then back to the tail: every other runnable
                 # machine interleaves at event granularity — the production
                 # analogue of a scheduling point after each dispatch.
-                if machine._has_work():
+                if machine._halted:
+                    has_work = False
+                elif machine._pending_receive is not None:
+                    has_work = machine._has_work()
+                elif machine._coroutine is not None or machine._raised:
+                    has_work = True
+                elif machine._state_ctx.plain:
+                    has_work = bool(machine._inbox)
+                else:
+                    has_work = machine._state_ctx.any_dequeuable(machine._inbox)
+                if has_work:
                     queue.append(machine)
                     continue
             machine._enabled = False
@@ -445,21 +549,6 @@ class ProductionRuntime(RuntimeKernel):
             self._loop.call_soon(self._pump)
         else:
             self._pump_scheduled = False
-
-    def _dispatch_once(self, machine: Machine) -> None:
-        self.step_count += 1
-        counts = self.dispatch_counts
-        value = machine._id.value
-        counts[value] = counts.get(value, 0) + 1
-        if machine._coroutine is not None:
-            self._execute_coroutine_step(machine)
-            return
-        ctx = machine._state_ctx
-        event = self._dequeue_next(machine, ctx)
-        if isinstance(event, _CONTROL_EVENTS):
-            self._dispatch_control_event(machine, event)
-        else:
-            self._dispatch_user_event(machine, event, ctx)
 
     def _halt_machine(self, machine: Machine) -> None:
         super()._halt_machine(machine)
@@ -504,9 +593,16 @@ class ProductionRuntime(RuntimeKernel):
                 if not self.has_pending_event(
                     timer.target, TimerTick, timer._tick_predicate
                 ) and (timer.always_fire or self.next_boolean(timer._id)):
-                    self._deliver(timer.target, TimerTick(timer.timer_name), timer._id)
+                    self.send_event(timer.target, TimerTick(timer.timer_name), timer._id)
         except asyncio.CancelledError:
             return
+        # Anything else would die unseen with this task: route it as the pump does.
+        except FrameworkError as error:
+            self._fail(error)
+        except BugError as error:
+            self._record_bug(error)
+        except Exception as exc:
+            self._record_bug(_unexpected(timer, exc))
 
     def active_machine_count(self) -> int:
         """Machines that dispatched beyond their start event.

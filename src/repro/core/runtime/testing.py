@@ -140,9 +140,9 @@ class TestRuntime(RuntimeKernel):
     # machine-facing services
     # ------------------------------------------------------------------
     def send_event(self, target: MachineId, event: Event, sender: Optional[MachineId] = None) -> None:
-        # Hot path: one call per message sent.  Enqueue, enabled-set update
-        # and coverage bookkeeping are inlined (see Machine._enqueue for the
-        # reference form of the enabled-set rule).
+        # Hot path: one call per message sent.  Enqueue, the enabled-set rule
+        # and coverage bookkeeping all happen in this frame
+        # (ProductionRuntime.send_event is the other copy of the rule).
         if not isinstance(event, Event):
             raise FrameworkError(f"send expects an Event instance, got {event!r}")
         machine = self._machines_by_value.get(target.value)
@@ -199,7 +199,7 @@ class TestRuntime(RuntimeKernel):
     # The runnability predicate (``Machine._has_work``) only changes when a
     # machine's inbox, coroutine or halted flag changes.  Inboxes of *other*
     # machines only ever grow during a step (sends/creates), which can only
-    # enable them — handled at enqueue time by ``Machine._enqueue``.  All
+    # enable them — handled at enqueue time by ``send_event``.  All
     # disabling mutations (dequeue, receive-wait, halt, inbox clear) happen
     # to the machine currently executing a step, so one recheck of that
     # machine after its step keeps the set exact.

@@ -19,14 +19,22 @@ pair of tests bounds Python-level calls per re-created execution, and the
 collector-tracked objects an execution leaves for the cycle collector
 (``gc.DEBUG_SAVEALL``) — a back-pointer the release stops cutting, or a frame
 put back into ``create_machine``, fails here by name.
+
+The production controller holds a machine step in its pump's frame the way the
+testing loop does, and the last test bounds it the same way: Python-level calls
+per dispatched event of ``examplesys/service`` on the loop thread — the pump,
+``send_event``, the monitor notifications and the handlers they run.
 """
 
 import gc
+import os
 import sys
+import threading
 
 import pytest
 
-from repro.core import TestingEngine, TestRuntime
+from repro.core import ProductionRuntime, TestingEngine, TestRuntime
+from repro.examplesys.harness.service import build_service_test
 from repro.core.registry import get_scenario, load_builtin_scenarios
 from repro.core.strategy import create_strategy
 
@@ -155,3 +163,50 @@ def test_a_finished_execution_leaves_the_collector_only_the_harness_cycle(finger
     assert per_execution <= MAX_GARBAGE_PER_EXECUTION, (
         f"{per_execution:.1f} collector-tracked garbage objects per execution"
     )
+
+
+#: measured 14.9 in all and 9.3 in frames under ``repro/core/`` when the bounds
+#: were set; the pump dispatching through ``_dispatch_once`` → ``_dequeue_next``
+#: / ``_dispatch_user_event`` and ``send_event`` → ``_deliver`` →
+#: ``Machine._enqueue`` measured 24.8 and 19.2.
+MAX_CALLS_PER_SERVED_EVENT = 16.5
+MAX_CORE_CALLS_PER_SERVED_EVENT = 10.4
+
+_CORE = os.path.join("repro", "core", "")
+
+
+def _serve_counting_calls(counted):
+    """``(all calls, calls under repro/core/)`` per event dispatched, as seen
+    by ``threading.setprofile``: the loop thread ``start()`` creates inherits
+    the hook, this thread (blocked in ``join``) does not have it."""
+    calls = [0, 0]
+
+    def count_calls(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+            if _CORE in frame.f_code.co_filename:
+                calls[1] += 1
+
+    runtime = ProductionRuntime(tick_interval=0.002)
+    if counted:
+        threading.setprofile(count_calls)
+    try:
+        bug = runtime.run(build_service_test(num_clients=8, num_requests=100), timeout=120)
+    finally:
+        threading.setprofile(None)
+    assert bug is None and runtime.termination_reason == "quiescence"
+    assert runtime.step_count > 8000
+    return calls[0] / runtime.step_count, calls[1] / runtime.step_count
+
+
+def test_python_calls_per_production_event_stay_under_the_floor():
+    _serve_counting_calls(counted=False)  # per-class specs and resolutions, as above
+    per_event, core_per_event = _serve_counting_calls(counted=True)
+    if not sys.flags.dev_mode:  # asyncio's debug mode puts frames of its own on every handle
+        assert per_event <= MAX_CALLS_PER_SERVED_EVENT, (
+            f"{per_event:.2f} Python-level calls per dispatched event under ProductionRuntime"
+        )
+    assert core_per_event <= MAX_CORE_CALLS_PER_SERVED_EVENT, (
+        f"{core_per_event:.2f} of them in frames under repro/core/"
+    )
+    assert core_per_event > 5  # the hook did see the loop thread

@@ -15,18 +15,22 @@ import pytest
 
 from repro.core import (
     Event,
+    Halt,
     Machine,
+    MachineId,
     Monitor,
     ProductionRuntime,
     Receive,
     State,
     TestingConfig,
+    TestRuntime,
     TimerMachine,
     TimerTick,
     on_event,
     run_test,
 )
-from repro.core.errors import FrameworkError
+from repro.core.errors import FrameworkError, SafetyViolationError
+from repro.core.strategy import create_strategy
 from repro.examplesys.harness.service import (
     LoadClient,
     ServiceFrontEnd,
@@ -244,6 +248,71 @@ def test_wall_clock_timer_delivers_real_ticks_and_honors_max_ticks():
     # system quiesce at all; at least one real tick must have landed and
     # the bound must hold.
     assert 1 <= counter.ticks <= 5
+
+
+def _testing_runtime(seed, max_steps):
+    config = TestingConfig(strategy="random", seed=seed, max_steps=max_steps)
+    strategy = create_strategy(config)
+    strategy.prepare_iteration(0)
+    return TestRuntime(strategy, config)
+
+
+class _GhostTimerHost(Machine):
+    def on_start(self):
+        self.create(
+            TimerMachine, MachineId(999, "Nobody", "ghost"), max_ticks=3, always_fire=True
+        )
+
+
+def test_timer_tick_to_an_unknown_machine_is_a_framework_error_as_under_testing():
+    """It used to die with the timer's asyncio task: ``bug=None``, "quiescence"."""
+    with pytest.raises(FrameworkError, match=r"send to unknown machine ghost\(999\)"):
+        _testing_runtime(0, 50).run(lambda rt: rt.create_machine(_GhostTimerHost))
+
+    runtime = ProductionRuntime(tick_interval=0.001)
+    runtime.start(lambda rt: rt.create_machine(_GhostTimerHost))
+    started = time.monotonic()
+    assert runtime.join(timeout=30) is True
+    assert time.monotonic() - started < 5.0, "join must not poll out its timeout"
+    assert runtime.termination_reason == "stopped"
+    with pytest.raises(FrameworkError, match=r"send to unknown machine ghost\(999\)"):
+        runtime.shutdown()
+
+
+class _TickHoarder(Machine):
+    """Defers its ticks, so the timer's next round scans one with its predicate."""
+
+    class Busy(State, initial=True):
+        deferred = (TimerTick,)
+
+
+class _BadPredicateTimer(TimerMachine):
+    def on_start(self, target, error):
+        super().on_start(target, always_fire=True, max_ticks=5)
+
+        def predicate(tick):
+            raise error
+
+        self._tick_predicate = predicate
+
+
+@pytest.mark.parametrize(
+    "error, kind, message",
+    [
+        (SafetyViolationError("tick predicate asserted"), "safety", "tick predicate asserted"),
+        (ValueError("tick predicate broke"), "exception", "unexpected ValueError: tick predicate broke"),
+    ],
+)
+def test_exception_in_the_timer_loop_is_a_recorded_bug(error, kind, message):
+    def entry(runtime):
+        hoarder = runtime.create_machine(_TickHoarder)
+        runtime.create_machine(_BadPredicateTimer, hoarder, error)
+
+    runtime = ProductionRuntime(tick_interval=0.001)
+    bug = runtime.run(entry, timeout=30)
+    assert runtime.termination_reason == "stopped"
+    assert bug is not None and bug.kind == kind and message in bug.message
+    assert bug.log and bug.log[-1].startswith(f"BUG ({kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +583,299 @@ def test_lost_wakeup_is_a_framework_error_not_a_hang():
     with pytest.raises(FrameworkError, match="lost wake-up.*Collector|Collector.*lost wake-up"):
         runtime.shutdown()
     assert collector.seen == []
+
+
+# ---------------------------------------------------------------------------
+# the unrolled pump against the testing loop, branch by branch
+# ---------------------------------------------------------------------------
+class _Ping(Event):
+    pass
+
+
+class _Pong(Event):
+    pass
+
+
+class _Noise(Event):
+    pass
+
+
+class _Num(Event):
+    def __init__(self, n):
+        self.n = n
+
+
+class _Seeing(Machine):
+    """Records ``(state, what)`` for everything its subclasses handle."""
+
+    def on_start(self, *peers):
+        self.peers = peers
+        self.seen = []
+
+    def see(self, what):
+        self.seen.append((self.current_state, what))
+
+
+class _RaiseFirst(_Seeing):
+    @on_event(_Ping)
+    def ping(self):
+        self.see("ping")
+        self.raise_event(_Pong())
+
+    @on_event(_Pong)
+    def pong(self):
+        self.see("pong")
+
+    @on_event(_Num)
+    def num(self, event):
+        self.see(event.n)
+
+
+class _RaiseThroughDefer(_Seeing):
+    @on_event(_Pong)
+    def pong(self):
+        self.see("pong")
+
+    class Hold(State, initial=True):
+        deferred = (_Pong,)
+
+        @on_event(_Ping)
+        def ping(self):
+            self.see("ping")
+            self.raise_event(_Pong())
+
+
+class _Ignorer(_Seeing):
+    class Deaf(State, initial=True):
+        ignored = (_Noise,)
+
+        @on_event(_Ping)
+        def ping(self):
+            self.see("ping")
+
+
+class _Door(_Seeing):
+    class Closed(State, initial=True):
+        deferred = (_Pong,)
+
+        @on_event(_Ping)
+        def open_up(self):
+            self.see("ping")
+            self.goto(_Door.Open)
+
+    class Open(State):
+        def on_entry(self):
+            self.see("entered")
+
+        @on_event(_Pong)
+        def pong(self):
+            self.see("pong")
+
+
+class _Stacker(_Seeing):
+    class Base(State, initial=True):
+        @on_event(_Ping)
+        def ping(self):
+            self.see("ping")
+            self.push_state(_Stacker.Over)
+
+        @on_event(_Pong)
+        def pong(self):
+            self.see("pong")
+
+    class Over(State):
+        @on_event(_Num)
+        def num(self, event):
+            self.see(event.n)
+            self.pop_state()
+
+
+class _Strict(_Seeing):
+    @on_event(_Ping)
+    def ping(self):
+        self.see("ping")
+
+
+class _Lenient(_Strict):
+    ignore_unhandled_events = True
+
+
+class _Quitter(_Seeing):
+    """Tells its peer it is leaving, then halts with events still queued."""
+
+    @on_event(_Ping)
+    def ping(self):
+        self.see("ping")
+        self.send(self.peers[0], _Pong())
+        self.halt()
+
+    def on_halt(self):
+        self.see("halted")
+
+
+class _Poker(_Seeing):
+    @on_event(_Pong)
+    def pong(self):
+        self.see("pong")
+        self.send(self.peers[0], _Num(7))  # the quitter halted in the step that sent this
+
+
+class _Waiter(_Seeing):
+    """Blocks with an empty inbox; a non-matching send must not wake it."""
+
+    @on_event(_Ping)
+    def ping(self):
+        self.see("ping")
+        self.send(self.peers[0], _Ping())
+        got = yield Receive(_Pong)
+        self.see(type(got).__name__)
+
+    @on_event(_Num)
+    def num(self, event):
+        self.see(event.n)
+
+
+class _Echo(_Seeing):
+    @on_event(_Ping)
+    def ping(self):
+        self.send(self.peers[0], _Num(9))
+        self.send(self.peers[0], _Pong())
+
+
+class _Yielder(_Seeing):
+    @on_event(_Ping)
+    def ping(self):
+        self.see("ping")
+        yield  # nothing queued behind it: only the paused handler is work
+        self.see("resumed")
+
+
+class _Starter(_Seeing):
+    def on_start(self, leave):
+        super().on_start()
+        self.see("on_start")
+        if leave:
+            self.goto(_Starter.Away)
+
+    class Home(State, initial=True):
+        def on_entry(self):
+            self.see("entered")
+
+    class Away(State):
+        def on_entry(self):
+            self.see("entered")
+
+
+def _one(machine_cls, *events):
+    def entry(runtime):
+        target = runtime.create_machine(machine_cls, name="M")
+        for event in events:
+            runtime.send_event(target, event)
+
+    return entry
+
+
+def _quitter_and_poker(runtime):
+    poker = runtime.create_machine(_Poker, MachineId(1, "_Quitter", "Q"), name="P")
+    quitter = runtime.create_machine(_Quitter, poker, name="Q")
+    for event in (_Ping(), _Num(1), _Num(2)):
+        runtime.send_event(quitter, event)
+
+
+def _waiter_and_echo(runtime):
+    echo = runtime.create_machine(_Echo, MachineId(1, "_Waiter", "M"), name="E")
+    runtime.send_event(runtime.create_machine(_Waiter, echo, name="M"), _Ping())
+
+
+def _two_starters(runtime):
+    runtime.create_machine(_Starter, False, name="M")
+    runtime.create_machine(_Starter, True, name="N")
+
+
+#: id -> (entry, what each named machine must have seen, bug kind or None,
+#: *lines the log must hold)
+DIFFERENTIAL_CASES = {
+    "raised-before-inbox": (
+        _one(_RaiseFirst, _Ping(), _Num(1)),
+        {"M": [("init", "ping"), ("init", "pong"), ("init", 1)]}, None,
+    ),
+    "raised-event-the-state-defers": (  # the sent _Pong stays deferred for good
+        _one(_RaiseThroughDefer, _Pong(), _Ping()),
+        {"M": [("Hold", "ping"), ("Hold", "pong")]}, "deadlock",
+    ),
+    "ignored-dropped-at-dequeue": (
+        _one(_Ignorer, _Noise(), _Noise(), _Ping(), _Noise()), {"M": [("Deaf", "ping")]}, None,
+        "M(0): ignored _Noise() in state 'Deaf'",
+    ),
+    "deferred-released-by-goto": (
+        _one(_Door, _Pong(), _Pong(), _Ping()),
+        {"M": [("Closed", "ping"), ("Open", "entered"), ("Open", "pong"), ("Open", "pong")]}, None,
+    ),
+    "push-pop-inheritance": (
+        _one(_Stacker, _Ping(), _Pong(), _Num(1), _Pong()),
+        {"M": [("Base", "ping"), ("Over", "pong"), ("Over", 1), ("Base", "pong")]}, None,
+    ),
+    "unhandled-event": (
+        _one(_Strict, _Ping(), _Pong(), _Ping()), {"M": [("init", "ping")]}, "unhandled-event",
+    ),
+    "unhandled-event-ignored": (
+        _one(_Lenient, _Ping(), _Pong(), _Ping()),
+        {"M": [("init", "ping"), ("init", "ping")]}, None,
+        "M(0): ignored unhandled _Pong() in state 'init'",
+    ),
+    "halt-control-event": (
+        _one(_Strict, _Ping(), Halt(), _Ping()), {"M": [("init", "ping")]}, None, "M(0): halted",
+    ),
+    "halt-in-handler-then-send-to-halted": (
+        _quitter_and_poker,
+        {"Q": [("init", "ping"), ("init", "halted")], "P": [("init", "pong")]}, None,
+        "Q(1): halted", "dropped P(0) -> Q(1): _Num(n=7) (target halted)",
+    ),
+    "receive-woken-by-the-matching-send-only": (
+        _waiter_and_echo, {"M": [("init", "ping"), ("init", "_Pong"), ("init", 9)]}, None,
+    ),
+    "bare-yield-on-an-empty-inbox": (
+        _one(_Yielder, _Ping()), {"M": [("init", "ping"), ("init", "resumed")]}, None,
+    ),
+    "start-then-initial-entry": (  # N's goto in on_start ran the entry action itself
+        _two_starters,
+        {"M": [("Home", "on_start"), ("Home", "entered")],
+         "N": [("Home", "on_start"), ("Away", "entered")]}, None,
+    ),
+}
+
+
+def _observe(runtime, bug):
+    log = runtime.execution_log
+    machines = {}
+    for machine in runtime.machines_of_type(Machine):
+        # test_state_dsl.py holds this at every step of a testing run; here it
+        # is what both controllers must leave behind.
+        assert machine._halted or machine._enabled == machine._has_work(), machine
+        prefix = f"{machine.id}: "
+        machines[machine.id.name] = (
+            machine.seen,
+            [line for line in log if line.startswith(prefix)],
+            machine.state_stack,
+            machine.is_halted,
+            list(machine._inbox),
+            dict(machine._pending_counts),
+        )
+    return machines, sorted(log), bug and (bug.kind, bug.message)
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_both_controllers_take_the_same_machine_steps(case):
+    entry, seen, bug_kind, *logged = DIFFERENTIAL_CASES[case]
+    production = ProductionRuntime()
+    served = _observe(production, production.run(entry, timeout=30))
+    for seed in range(3):
+        testing = _testing_runtime(seed, 200)
+        assert _observe(testing, testing.run(entry)) == served
+    machines, log, bug = served
+    assert (bug and bug[0]) == bug_kind
+    assert {name: machines[name][0] for name in seen} == seen
+    assert set(logged) <= set(log)
 
 
 # ---------------------------------------------------------------------------

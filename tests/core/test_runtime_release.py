@@ -26,6 +26,7 @@ from repro.core import (
     Monitor,
     Receive,
     StartEvent,
+    State,
     TestingConfig,
     TestingEngine,
     TestRuntime,
@@ -99,6 +100,69 @@ def test_machines_of_finished_executions_die_without_the_collector(
     assert report.iterations_executed == 4 and not report.bugs
     assert len(refs) >= 8
     assert _alive(refs) == []
+
+
+@pytest.mark.parametrize("fingerprints", [False, True], ids=["plain", "fingerprints"])
+def test_a_monitor_that_handled_events_and_moved_dies_with_its_runtime(fingerprints, no_collector):
+    """A notified monitor holds the ``StateContext`` of its state (shared, per
+    class) and nothing that points back at itself: a per-instance cache of
+    bound handlers on ``Monitor`` would be a cycle the release does not cut —
+    measured once as +6 % on ``exhaust-dfs``; it fails here by name instead."""
+
+    class Progress(Monitor):
+        class Waiting(State, initial=True, hot=True):
+            @on_event(Tick)
+            def first(self):
+                self.goto(Progress.Moving)
+
+        class Moving(State):
+            @on_event(Tick)
+            def later(self, event):
+                self.ticks = getattr(self, "ticks", 0) + 1
+
+    class Ticker(Machine):
+        def on_start(self):
+            for _ in range(3):
+                self.send(self.id, Tick())
+
+        @on_event(Tick)
+        def tick(self, event):
+            self.notify_monitor(Progress, event)
+
+    refs = []
+
+    class Spy(TestRuntime):
+        def run(self, test_entry):
+            try:
+                return super().run(test_entry)
+            finally:
+                monitor = self.monitor_instance(Progress)
+                assert monitor.current_state == "Moving" and monitor.ticks == 2
+                assert monitor._state_ctx is monitor._spec.context_for(("Moving",))
+                refs.extend(map(weakref.ref, [self, monitor, *self._machines.values()]))
+
+    def entry(runtime):
+        runtime.register_monitor(Progress)
+        runtime.create_machine(Ticker)
+
+    executions = 6
+    config = TestingConfig(
+        strategy="random", seed=3, iterations=executions, max_steps=50, fingerprints=fingerprints
+    )
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report = TestingEngine(entry, config, runtime_cls=Spy).run()
+        assert report.iterations_executed == executions and not report.bugs
+        assert len(refs) == 3 * executions
+        assert _alive(refs) == []
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    # test_hotpath_calls.py's bound for an exhaust-dfs execution; this harness
+    # has no cycle of its own, so anything here is the framework's.
+    assert garbage / executions <= 25
 
 
 def test_only_the_harness_own_cycle_survives_on_examplesys(no_collector):

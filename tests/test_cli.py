@@ -211,7 +211,7 @@ def test_serve_boots_service_under_production_runtime(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "under ProductionRuntime" in out
-    assert "events/turn over" in out
+    assert "events/turn over" in out and "loop turns, run queue <= " in out
     assert "clean shutdown, no monitor violations" in out
 
 
@@ -234,6 +234,9 @@ def test_serve_json_stats_and_expect_events(capsys):
     assert stats["loop_turns"] >= 1
     assert stats["events_per_turn"] >= 1
     assert stats["events_per_turn"] == stats["events_dispatched"] / stats["loop_turns"]
+    # Queue depth is sampled per turn, not per event: at least the machine
+    # whose work scheduled the turn, at most every machine of the run.
+    assert 1 <= stats["max_run_queue"] <= stats["machines"]
 
 
 def test_serve_rejects_json_with_verbose(capsys):
